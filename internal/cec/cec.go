@@ -25,7 +25,10 @@ var ErrGaveUp = errors.New("cec: solver gave up")
 type CheckOptions struct {
 	// ConfBudget bounds SAT conflicts (<=0 means unlimited); an
 	// exceeded budget surfaces as ErrGaveUp. Under sharding the budget
-	// applies per shard.
+	// applies per shard. An unbudgeted check must reach a verdict, so
+	// it fraigs the miter first (Sweep over the differing cones) and
+	// solves only the pairs the sweep could not merge; a budgeted
+	// probe solves directly.
 	ConfBudget int64
 	// OnSolver, when non-nil, observes every SAT solver the check
 	// creates, so callers can Interrupt a long-running check from
@@ -86,7 +89,8 @@ type Result struct {
 }
 
 // CheckAIGs decides whether two AIGs with identical PI/PO counts are
-// combinationally equivalent. PIs are matched by position.
+// combinationally equivalent. PIs are matched by position. The miter
+// is fraiged before the final SAT query (see CheckOptions.ConfBudget).
 func CheckAIGs(g1, g2 *aig.AIG) (Result, error) {
 	if g1.NumPIs() != g2.NumPIs() {
 		return Result{}, fmt.Errorf("cec: PI count mismatch: %d vs %d", g1.NumPIs(), g2.NumPIs())
@@ -130,7 +134,10 @@ func CheckLitsOpt(g *aig.AIG, as, bs []aig.Lit, opt CheckOptions) (Result, error
 }
 
 // checkPairs runs the SAT check "some pair differs" on a miter AIG,
-// serially or sharded across a worker pool per opt.Shards.
+// serially or sharded across a worker pool per opt.Shards. A check
+// that must reach a verdict (no conflict budget) fraigs the miter
+// first, so only the pairs the sweep could not merge reach the final
+// query; budgeted probes solve directly.
 func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (Result, error) {
 	if opt.Rewrite {
 		// Every entry point passes the full ordered PI list, and the
@@ -140,15 +147,65 @@ func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (
 		m, pis, t1, t2 = rewriteMiter(m, t1, t2)
 	}
 	// Fast path: structural hashing may already have merged each pair.
+	diff := differingPairs(t1, t2)
+	if len(diff) == 0 {
+		return Result{Equivalent: true}, nil
+	}
+	var swept int64
+	if opt.ConfBudget <= 0 {
+		var st sweepStats
+		m, pis, t1, t2, st = sweepMiter(m, t1, t2, diff, opt.OnSolver)
+		swept = st.conflicts
+		if st.interrupted {
+			return Result{}, ErrGaveUp
+		}
+		diff = differingPairs(t1, t2)
+		if len(diff) == 0 {
+			return Result{Equivalent: true, Conflicts: swept}, nil
+		}
+	}
+	res, err := solvePairs(m, pis, t1, t2, diff, opt)
+	res.Conflicts += swept
+	return res, err
+}
+
+// differingPairs lists the indices of the pairs whose edges differ.
+func differingPairs(t1, t2 []aig.Lit) []int {
 	var diff []int
 	for i := range t1 {
 		if t1[i] != t2[i] {
 			diff = append(diff, i)
 		}
 	}
-	if len(diff) == 0 {
-		return Result{Equivalent: true}, nil
+	return diff
+}
+
+// sweepMiter extracts the cones of the differing pairs and fraigs them
+// (Sweep), so SAT-proven internal equivalences merge before the final
+// query. Pairs outside diff are equal already and come back as the
+// constant on both sides; every pair keeps its index, so readback and
+// the failing-output scan run unchanged on the swept graph.
+func sweepMiter(m *aig.AIG, t1, t2 []aig.Lit, diff []int, onSolver func(*sat.Solver)) (*aig.AIG, []aig.Lit, []aig.Lit, []aig.Lit, sweepStats) {
+	d1 := make([]aig.Lit, len(diff))
+	d2 := make([]aig.Lit, len(diff))
+	for k, i := range diff {
+		d1[k], d2[k] = t1[i], t2[i]
 	}
+	opt := DefaultSweepOptions()
+	opt.OnSolver = onSolver
+	sg, st := sweep(extractPairs(m, d1, d2), opt)
+	pis, s1, s2 := readPairs(sg, len(diff))
+	nt1 := make([]aig.Lit, len(t1))
+	nt2 := make([]aig.Lit, len(t2))
+	for k, i := range diff {
+		nt1[i], nt2[i] = s1[k], s2[k]
+	}
+	return sg, pis, nt1, nt2, st
+}
+
+// solvePairs decides "some pair in diff differs" with a full SAT
+// query, serially or sharded across a worker pool per opt.Shards.
+func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt CheckOptions) (Result, error) {
 	shards := opt.Shards
 	if shards > len(diff) {
 		shards = len(diff)
@@ -206,37 +263,47 @@ func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (
 	return mergePairVerdicts(m, t1, t2, statuses, cexs, conflicts.Load(), tally)
 }
 
-// rewriteMiter rebuilds the miter as a PI-interface-preserving
-// extraction of the pair edges, optimized by the DAG-aware rewriting
-// pass. POs survive Optimize in order, so the pair edges read back by
-// position; the returned PI list is the optimized graph's own.
+// rewriteMiter rebuilds the miter as an extraction of the pair edges
+// optimized by the DAG-aware rewriting pass. POs survive Optimize in
+// order, so the pair edges read back by position.
 func rewriteMiter(m *aig.AIG, t1, t2 []aig.Lit) (*aig.AIG, []aig.Lit, []aig.Lit, []aig.Lit) {
-	rg := aig.New()
+	og := aig.Optimize(extractPairs(m, t1, t2))
+	pis, nt1, nt2 := readPairs(og, len(t1))
+	return og, pis, nt1, nt2
+}
+
+// extractPairs copies the cones of the pair edges into a fresh graph
+// with m's PI interface (count, order, names), so counterexamples stay
+// indexed by PI position. The POs are t1 then t2, in order.
+func extractPairs(m *aig.AIG, t1, t2 []aig.Lit) *aig.AIG {
+	g := aig.New()
 	piMap := make([]aig.Lit, m.NumPIs())
 	for i := range piMap {
-		piMap[i] = rg.AddPI(m.PIName(i))
+		piMap[i] = g.AddPI(m.PIName(i))
 	}
 	roots := make([]aig.Lit, 0, len(t1)+len(t2))
 	roots = append(roots, t1...)
 	roots = append(roots, t2...)
-	moved := aig.Transfer(rg, m, piMap, roots)
-	for _, r := range moved {
-		rg.AddPO("t", r)
+	for _, r := range aig.Transfer(g, m, piMap, roots) {
+		g.AddPO("t", r)
 	}
-	og := aig.Optimize(rg)
-	nt1 := make([]aig.Lit, len(t1))
-	nt2 := make([]aig.Lit, len(t2))
-	for i := range nt1 {
-		nt1[i] = og.PO(i)
-	}
-	for i := range nt2 {
-		nt2[i] = og.PO(len(t1) + i)
-	}
-	pis := make([]aig.Lit, og.NumPIs())
+	return g
+}
+
+// readPairs reads n pairs back from the POs of an extractPairs graph
+// (or of a pass that keeps its POs in order), with the graph's own PI
+// list.
+func readPairs(g *aig.AIG, n int) (pis, t1, t2 []aig.Lit) {
+	pis = make([]aig.Lit, g.NumPIs())
 	for i := range pis {
-		pis[i] = og.PI(i)
+		pis[i] = g.PI(i)
 	}
-	return og, pis, nt1, nt2
+	t1 = make([]aig.Lit, n)
+	t2 = make([]aig.Lit, n)
+	for i := 0; i < n; i++ {
+		t1[i], t2[i] = g.PO(i), g.PO(n+i)
+	}
+	return pis, t1, t2
 }
 
 // cacheTally is per-shard solve-cache and preprocessing traffic.
@@ -410,9 +477,4 @@ func mergePairVerdicts(m *aig.AIG, t1, t2 []aig.Lit, statuses []sat.Status, cexs
 		// Budget exhausted or interrupted: no verdict either way.
 		return Result{}, ErrGaveUp
 	}
-}
-
-func errShape(g1, g2 *aig.AIG) error {
-	return fmt.Errorf("cec: interface mismatch: %d/%d PIs, %d/%d POs",
-		g1.NumPIs(), g2.NumPIs(), g1.NumPOs(), g2.NumPOs())
 }

@@ -35,6 +35,25 @@ func adder(n int, variant bool) *aig.AIG {
 	return g
 }
 
+// adderMiter places the two adder variants in one graph over shared
+// PIs and returns their output edges, pair by pair.
+func adderMiter(n int) (*aig.AIG, []aig.Lit, []aig.Lit) {
+	g1, g2 := adder(n, false), adder(n, true)
+	m := aig.New()
+	piMap := make([]aig.Lit, g1.NumPIs())
+	for i := range piMap {
+		piMap[i] = m.AddPI(g1.PIName(i))
+	}
+	outs := func(g *aig.AIG) []aig.Lit {
+		os := make([]aig.Lit, g.NumPOs())
+		for i := range os {
+			os[i] = g.PO(i)
+		}
+		return os
+	}
+	return m, aig.Transfer(m, g1, piMap, outs(g1)), aig.Transfer(m, g2, piMap, outs(g2))
+}
+
 func TestEquivalentAdders(t *testing.T) {
 	g1 := adder(6, false)
 	g2 := adder(6, true)

@@ -12,14 +12,13 @@ func prepCheckOpts() CheckOptions {
 	return CheckOptions{Preprocess: sat.DefaultPrepConfig()}
 }
 
-// TestCheckPrepParityEquivalent runs the adder pair through CheckLits
-// with preprocessing off and on: same verdict, and the prep run
-// reports simplification work.
-func TestCheckPrepParityEquivalent(t *testing.T) {
-	// Both adder variants rebuilt inside one AIG so CheckLitsOpt can
-	// compare their sum/carry edges directly.
+// swappedMultipliers builds an n x n array multiplier and its
+// operand-swapped twin in one AIG and returns their product edges. The
+// partial products hash together but the sums do not, and at n = 6 the
+// fraig front end gives up on the outputs within its per-query budget,
+// so an equivalence check over the pair still reaches its final query.
+func swappedMultipliers(n int) (*aig.AIG, []aig.Lit, []aig.Lit) {
 	g := aig.New()
-	const n = 5
 	as := make([]aig.Lit, n)
 	bs := make([]aig.Lit, n)
 	for i := 0; i < n; i++ {
@@ -28,22 +27,32 @@ func TestCheckPrepParityEquivalent(t *testing.T) {
 	for i := 0; i < n; i++ {
 		bs[i] = g.AddPI("b")
 	}
-	build := func(variant bool) []aig.Lit {
-		carry := aig.ConstFalse
-		outs := make([]aig.Lit, 0, n+1)
-		for i := 0; i < n; i++ {
-			var sum aig.Lit
-			if variant {
-				sum = g.Xor(as[i], g.Xor(bs[i], carry))
-			} else {
-				sum = g.Xor(g.Xor(as[i], bs[i]), carry)
-			}
-			carry = g.Or(g.And(as[i], bs[i]), g.And(carry, g.Or(as[i], bs[i])))
-			outs = append(outs, sum)
+	mul := func(x, y []aig.Lit) []aig.Lit {
+		acc := make([]aig.Lit, 2*n)
+		for i := range acc {
+			acc[i] = aig.ConstFalse
 		}
-		return append(outs, carry)
+		for j := 0; j < n; j++ {
+			carry := aig.ConstFalse
+			for i := 0; i < n; i++ {
+				pp := g.And(x[i], y[j])
+				s := acc[i+j]
+				acc[i+j] = g.Xor(g.Xor(s, pp), carry)
+				carry = g.Or(g.And(s, pp), g.And(carry, g.Or(s, pp)))
+			}
+			acc[j+n] = carry
+		}
+		return acc
 	}
-	xs, ys := build(false), build(true)
+	return g, mul(as, bs), mul(bs, as)
+}
+
+// TestCheckPrepParityEquivalent runs an equivalent pair through
+// CheckLits with preprocessing off and on: same verdict, and the prep
+// run reports simplification work. The pair is swappedMultipliers(6),
+// whose final query reaches the preprocessor.
+func TestCheckPrepParityEquivalent(t *testing.T) {
+	g, xs, ys := swappedMultipliers(6)
 
 	plain, err := CheckLits(g, xs, ys)
 	if err != nil {
@@ -57,7 +66,7 @@ func TestCheckPrepParityEquivalent(t *testing.T) {
 		t.Fatalf("verdict mismatch: plain=%v prep=%v", plain.Equivalent, prep.Equivalent)
 	}
 	if !prep.Equivalent {
-		t.Fatal("adder variants reported inequivalent")
+		t.Fatal("operand-swapped multipliers reported inequivalent")
 	}
 	if prep.Prep.Rounds == 0 {
 		t.Fatal("prep run recorded no simplification rounds")
@@ -96,27 +105,10 @@ func TestCheckPrepCounterexample(t *testing.T) {
 
 // TestCheckPrepShardParity runs a multi-output check through the
 // sharded path with preprocessing on: verdict parity with the plain
-// sharded check, per shard-count.
+// sharded check, per shard-count. The multipliers keep unmerged pairs
+// after the fraig front end, so the shards have work to do.
 func TestCheckPrepShardParity(t *testing.T) {
-	g1 := adder(6, false)
-	g2 := adder(6, true)
-	// Same miter construction as CheckAIGs, but through CheckLitsOpt
-	// so the shard count and prep config are controllable.
-	m := aig.New()
-	piMap := make([]aig.Lit, g1.NumPIs())
-	for i := range piMap {
-		piMap[i] = m.AddPI(g1.PIName(i))
-	}
-	outs := func(g *aig.AIG) []aig.Lit {
-		os := make([]aig.Lit, g.NumPOs())
-		for i := range os {
-			os[i] = g.PO(i)
-		}
-		return os
-	}
-	t1 := aig.Transfer(m, g1, piMap, outs(g1))
-	t2 := aig.Transfer(m, g2, piMap, outs(g2))
-
+	m, t1, t2 := swappedMultipliers(6)
 	for _, shards := range []int{1, 4} {
 		plain, err := CheckLitsOpt(m, t1, t2, CheckOptions{Shards: shards})
 		if err != nil {
@@ -131,6 +123,9 @@ func TestCheckPrepShardParity(t *testing.T) {
 		if plain.Equivalent != prep.Equivalent || !prep.Equivalent {
 			t.Fatalf("shards=%d: plain=%v prep=%v, want both equivalent",
 				shards, plain.Equivalent, prep.Equivalent)
+		}
+		if prep.Prep.Rounds == 0 {
+			t.Fatalf("shards=%d: no shard reached the preprocessor", shards)
 		}
 	}
 }

@@ -22,6 +22,10 @@ type SweepOptions struct {
 	MaxCandidates int
 	// Seed makes the simulation deterministic.
 	Seed int64
+	// OnSolver, when non-nil, observes the sweep's one SAT solver so a
+	// caller can Interrupt it. An interrupted sweep stops proving: the
+	// nodes it has not reached yet are copied unmerged.
+	OnSolver func(*sat.Solver)
 }
 
 // DefaultSweepOptions returns sensible defaults.
@@ -110,10 +114,24 @@ func (pc *PairChecker) CheckPair(a, b aig.Lit) (equal bool, cex []bool, err erro
 // Sweep functionally reduces the AIG (fraiging, the core of the
 // paper's CEC reference [12]): candidate equivalences are proposed by
 // random simulation and proved by incremental SAT; proven-equivalent
-// nodes merge (up to complementation). Counterexamples from failed
-// proofs refine the candidate classes. The result is functionally
-// equivalent to the input, with the same PI/PO interface.
+// nodes merge (up to complementation), functionally constant nodes
+// merge into the constant. Counterexamples from failed proofs refine
+// the candidate classes. The result is functionally equivalent to the
+// input, with the same PI/PO interface.
 func Sweep(g *aig.AIG, opt SweepOptions) *aig.AIG {
+	ng, _ := sweep(g, opt)
+	return ng
+}
+
+// sweepStats is the SAT work of one sweep: conflicts spent on its
+// proofs, and whether its solver was interrupted.
+type sweepStats struct {
+	conflicts   int64
+	interrupted bool
+}
+
+// sweep is Sweep reporting its SAT work.
+func sweep(g *aig.AIG, opt SweepOptions) (*aig.AIG, sweepStats) {
 	if opt.SimRounds <= 0 {
 		opt.SimRounds = 8
 	}
@@ -159,7 +177,7 @@ func Sweep(g *aig.AIG, opt SweepOptions) *aig.AIG {
 	sameCanonSig := func(a, b int) bool { return sim.CanonEqual(sigs[a], sigs[b]) }
 
 	ng := aig.New()
-	checker := NewPairChecker(ng, CheckOptions{ConfBudget: opt.ConfBudget})
+	checker := NewPairChecker(ng, CheckOptions{ConfBudget: opt.ConfBudget, OnSolver: opt.OnSolver})
 
 	mapped := make([]aig.Lit, g.NumNodes())
 	mapped[0] = aig.ConstFalse
@@ -176,13 +194,20 @@ func Sweep(g *aig.AIG, opt SweepOptions) *aig.AIG {
 		compl bool    // representative stored with canonical polarity
 	}
 	classes := make(map[uint64][]rep)
-	registerPI := func(n int) {
+	register := func(n int) {
 		k, compl := canon(n)
 		classes[k] = append(classes[k], rep{edge: mapped[n].XorCompl(compl), node: n, compl: compl})
 	}
-	for i := 0; i < g.NumPIs(); i++ {
-		registerPI(g.PI(i).Node())
+	// The constant and the PIs seed the classes; the constant comes
+	// first so a functionally constant node probes it before any
+	// same-signature PI or AND.
+	registerSources := func() {
+		register(0)
+		for i := 0; i < g.NumPIs(); i++ {
+			register(g.PI(i).Node())
+		}
 	}
+	registerSources()
 
 	// cexBuf accumulates counterexample patterns to refine classes;
 	// builtAnds remembers processed nodes so classes can be rebuilt on
@@ -204,18 +229,19 @@ func Sweep(g *aig.AIG, opt SweepOptions) *aig.AIG {
 		addRound(piWords)
 		cexBuf = cexBuf[:0]
 		classes = make(map[uint64][]rep)
-		for i := 0; i < g.NumPIs(); i++ {
-			registerPI(g.PI(i).Node())
-		}
+		registerSources()
 		for _, n := range builtAnds {
-			k, compl := canon(n)
-			classes[k] = append(classes[k], rep{edge: mapped[n].XorCompl(compl), node: n, compl: compl})
+			register(n)
 		}
 	}
 
 	proveEqual := func(a, b aig.Lit) (equal bool, cex []bool) {
 		// A gave-up query (budget exhausted or interrupted) leaves the
-		// pair unmerged, which is sound, just weaker.
+		// pair unmerged, which is sound, just weaker. Once interrupted
+		// the solver answers nothing, so stop encoding cones for it.
+		if checker.s.Interrupted() {
+			return false, nil
+		}
 		equal, cex, _ = checker.CheckPair(a, b)
 		return equal, cex
 	}
@@ -274,47 +300,6 @@ func Sweep(g *aig.AIG, opt SweepOptions) *aig.AIG {
 		po := g.PO(i)
 		ng.AddPO(g.POName(i), mapped[po.Node()].XorCompl(po.Compl()))
 	}
-	return aig.Cleanup(ng)
-}
-
-// CheckAIGsSweeping is CheckAIGs with a fraiging front end: the two
-// circuits are placed in one graph, swept (merging all internal
-// equivalences SAT can prove cheaply), and only then compared. On
-// structurally dissimilar but equivalent circuits this is much
-// stronger than the plain miter.
-func CheckAIGsSweeping(g1, g2 *aig.AIG, opt SweepOptions) (Result, error) {
-	if g1.NumPIs() != g2.NumPIs() || g1.NumPOs() != g2.NumPOs() {
-		return Result{}, errShape(g1, g2)
-	}
-	joint := aig.New()
-	piMap := make([]aig.Lit, g1.NumPIs())
-	for i := range piMap {
-		piMap[i] = joint.AddPI(g1.PIName(i))
-	}
-	r1 := make([]aig.Lit, g1.NumPOs())
-	r2 := make([]aig.Lit, g2.NumPOs())
-	for i := range r1 {
-		r1[i] = g1.PO(i)
-		r2[i] = g2.PO(i)
-	}
-	t1 := aig.Transfer(joint, g1, piMap, r1)
-	t2 := aig.Transfer(joint, g2, piMap, r2)
-	for i := range t1 {
-		joint.AddPO("a", t1[i])
-	}
-	for i := range t2 {
-		joint.AddPO("b", t2[i])
-	}
-	swept := Sweep(joint, opt)
-	outs1 := make([]aig.Lit, len(t1))
-	outs2 := make([]aig.Lit, len(t2))
-	for i := range t1 {
-		outs1[i] = swept.PO(i)
-		outs2[i] = swept.PO(len(t1) + i)
-	}
-	pis := make([]aig.Lit, swept.NumPIs())
-	for i := range pis {
-		pis[i] = swept.PI(i)
-	}
-	return checkPairs(swept, pis, outs1, outs2, CheckOptions{})
+	st := sweepStats{conflicts: checker.s.Stats.Conflicts, interrupted: checker.s.Interrupted()}
+	return aig.Cleanup(ng), st
 }

@@ -1,10 +1,13 @@
 package cec
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ecopatch/internal/aig"
+	"ecopatch/internal/sat"
 	"ecopatch/internal/sim"
 )
 
@@ -79,7 +82,32 @@ func TestSweepMergesComplementPairs(t *testing.T) {
 	}
 }
 
-func TestCheckAIGsSweepingAgrees(t *testing.T) {
+// TestSweepMergesConstant pins the constant class: a node that is
+// functionally false but not structurally so must sweep into the
+// constant rather than survive as an AND.
+func TestSweepMergesConstant(t *testing.T) {
+	g := aig.New()
+	a, b, c := g.AddPI("a"), g.AddPI("b"), g.AddPI("c")
+	f := g.And(a, g.And(b, g.And(c, a.Not()))) // a & b & c & !a
+	g.AddPO("f", f)
+	g.AddPO("nf", f.Not())
+	if g.PO(0) == aig.ConstFalse {
+		t.Fatal("hashing already folded the node; the test needs a structural constant")
+	}
+	swept := Sweep(g, DefaultSweepOptions())
+	if swept.PO(0) != aig.ConstFalse || swept.PO(1) != aig.ConstTrue {
+		t.Fatalf("constant node not merged: POs %v, %v", swept.PO(0), swept.PO(1))
+	}
+	if swept.NumAnds() != 0 {
+		t.Fatalf("swept graph keeps %d ANDs, want 0", swept.NumAnds())
+	}
+}
+
+// TestCheckAIGsRandomPairs runs CheckAIGs, which fraigs the miter
+// before its final query, on random circuits against a clone or a
+// complemented-output variant: the verdict must match the
+// construction, and every counterexample must distinguish the pair.
+func TestCheckAIGsRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for iter := 0; iter < 10; iter++ {
 		g1 := aig.New()
@@ -94,19 +122,19 @@ func TestCheckAIGsSweepingAgrees(t *testing.T) {
 		}
 		g1.AddPO("f", pool[len(pool)-1])
 		g2 := aig.Clone(g1)
-		if iter%2 == 1 {
+		mutated := iter%2 == 1
+		if mutated {
 			g2.SetPO(0, g2.PO(0).Not()) // inequivalent variant
 		}
-		want, err := CheckAIGs(g1, g2)
+		res, err := CheckAIGs(g1, g2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CheckAIGsSweeping(g1, g2, DefaultSweepOptions())
-		if err != nil {
-			t.Fatal(err)
+		if res.Equivalent == mutated {
+			t.Fatalf("iter %d: equivalent=%v for mutated=%v", iter, res.Equivalent, mutated)
 		}
-		if want.Equivalent != got.Equivalent {
-			t.Fatalf("iter %d: plain=%v sweeping=%v", iter, want.Equivalent, got.Equivalent)
+		if mutated && g1.Eval(res.Counterexample)[0] == g2.Eval(res.Counterexample)[0] {
+			t.Fatalf("iter %d: counterexample %v does not distinguish the pair", iter, res.Counterexample)
 		}
 	}
 }
@@ -137,5 +165,68 @@ func TestCanonKey(t *testing.T) {
 	}
 	if sim.CanonEqual(sig, sig[:2]) {
 		t.Fatal("length mismatch compared equal")
+	}
+}
+
+// TestCheckSweepConflictsCounted pins the accounting of the fraig
+// front end: when the sweep settles every pair, its solver is the only
+// one the check creates, and its conflicts are the Result's.
+func TestCheckSweepConflictsCounted(t *testing.T) {
+	m, t1, t2 := adderMiter(8)
+	var solvers []*sat.Solver
+	res, err := CheckLitsOpt(m, t1, t2, CheckOptions{
+		OnSolver: func(s *sat.Solver) { solvers = append(solvers, s) },
+	})
+	if err != nil || !res.Equivalent {
+		t.Fatalf("adder variants: eq=%v err=%v", res.Equivalent, err)
+	}
+	if len(solvers) != 1 {
+		t.Fatalf("check created %d solvers, want only the sweep's", len(solvers))
+	}
+	if res.Conflicts == 0 || res.Conflicts != solvers[0].Stats.Conflicts {
+		t.Fatalf("Result.Conflicts = %d, sweep solver spent %d", res.Conflicts, solvers[0].Stats.Conflicts)
+	}
+}
+
+// TestCheckInterruptMidSweep interrupts a check from inside its fraig
+// front end, the way the engine's deadline watcher does: at the sweep
+// solver's first learnt clause every registered solver is interrupted
+// and later ones are interrupted on registration. The check must give
+// up rather than report the pair equivalent from a partial sweep.
+func TestCheckInterruptMidSweep(t *testing.T) {
+	m, t1, t2 := adderMiter(8)
+	var mu sync.Mutex
+	var solvers []*sat.Solver
+	stopped := false
+	onSolver := func(s *sat.Solver) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			s.Interrupt()
+		}
+		solvers = append(solvers, s)
+		if len(solvers) > 1 {
+			return
+		}
+		s.SetLearntHook(func([]sat.Lit, uint32) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !stopped {
+				stopped = true
+				for _, x := range solvers {
+					x.Interrupt()
+				}
+			}
+		})
+	}
+	res, err := CheckLitsOpt(m, t1, t2, CheckOptions{OnSolver: onSolver})
+	if !stopped {
+		t.Fatal("the sweep learnt no clause, so the interrupt never fired inside it")
+	}
+	if !errors.Is(err, ErrGaveUp) {
+		t.Fatalf("interrupted check: err=%v, want ErrGaveUp", err)
+	}
+	if res.Equivalent {
+		t.Fatal("interrupted check reported equivalent")
 	}
 }

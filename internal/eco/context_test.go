@@ -70,3 +70,58 @@ func TestSolveContextUncancelledUnaffected(t *testing.T) {
 		t.Fatalf("verified=%v timedOut=%v; want verified, not timed out", res.Verified, res.TimedOut)
 	}
 }
+
+// TestVerifyInterruptedUnverified stops the run's solver group before
+// the final verification, as an expired deadline does: the sweep that
+// fronts the equivalence check registers its solver with the group, so
+// it is interrupted too, and the patch must come back unverified
+// rather than proven by a sweep that ignored the deadline.
+func TestVerifyInterruptedUnverified(t *testing.T) {
+	// The spec builds a^b from OR/NAND/AND; the patch synthesized over
+	// a, b has another structure, so the verification miter does not
+	// hash to equal outputs and reaches the sweep.
+	inst := mustInstance(t, `
+module m (a, b, c, f);
+input a, b, c;
+output f;
+xor (f, t_0, c);
+endmodule`, `
+module m (a, b, c, f);
+input a, b, c;
+output f;
+wire w1, w2, w3;
+or   (w1, a, b);
+nand (w2, a, b);
+and  (w3, w1, w2);
+xor  (f, w3, c);
+endmodule`, nil)
+	opt := DefaultOptions()
+	opt.Parallelism = 1
+	opt.MaxQuantExpand, opt.MaxCubes = 8, 20000
+	e := &engine{inst: inst, opt: opt, ctx: context.Background(), res: &Result{}}
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.checkFeasible(); err != nil || !ok {
+		t.Fatalf("feasibility: ok=%v err=%v", ok, err)
+	}
+	if err := e.rectifyAll(false); err != nil {
+		t.Fatal(err)
+	}
+	before := len(e.group.solvers)
+	ok, err := e.verify()
+	if err != nil || !ok {
+		t.Fatalf("uninterrupted verification: ok=%v err=%v", ok, err)
+	}
+	if len(e.group.solvers) == before {
+		t.Fatal("verification settled structurally; the test needs a miter that reaches the sweep")
+	}
+	e.group.interruptAll()
+	ok, err = e.verify()
+	if err != nil {
+		t.Fatalf("interrupted verification must degrade, got error: %v", err)
+	}
+	if ok {
+		t.Fatal("interrupted verification reported the patch verified")
+	}
+}

@@ -12,6 +12,18 @@ import (
 	"ecopatch/internal/persist"
 )
 
+// persistRequest is the tiny job with feasibility decided by cofactor
+// expansion instead of 2QBF: that check is a cached SAT query, so the
+// solve leaves solve-cache entries to persist. (Under the default QBF
+// path the only cached query is the final verification, which the
+// fraig front end settles before any solver or cache is reached.)
+func persistRequest() JobRequest {
+	req := testRequest()
+	useQBF := false
+	req.Options.UseQBF = &useQBF
+	return req
+}
+
 // TestPersistRestartWarm is the core crash-safety contract: finish a
 // job, restart the daemon on the same data dir, and both the job
 // history and the result cache must have survived — a duplicate
@@ -22,7 +34,7 @@ func TestPersistRestartWarm(t *testing.T) {
 
 	s1, c1 := newTestServer(t, cfg)
 	ctx := context.Background()
-	st, err := c1.Submit(ctx, testRequest())
+	st, err := c1.Submit(ctx, persistRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +70,7 @@ func TestPersistRestartWarm(t *testing.T) {
 	}
 	// Duplicate submission: instant hit from the persisted result,
 	// pointing at the original job, identical patch.
-	st2, err := c2.Submit(ctx, testRequest())
+	st2, err := c2.Submit(ctx, persistRequest())
 	if err != nil {
 		t.Fatal(err)
 	}

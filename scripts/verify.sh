@@ -61,8 +61,9 @@ go test -race -count=1 -run 'Persist|Restart|Recover|Torn|Compact|List' \
 	./internal/server ./internal/eco
 
 # Optional, non-gating: microbenchmark sweep (scripts/bench.sh writes
-# BENCH_sat.txt / BENCH_sat.json) and a short fuzz smoke over the
-# preprocessing model-reconstruction stack. Enable with BENCH=1.
+# BENCH_sat.txt / BENCH_sat.json) and short fuzz smokes over the
+# preprocessing model-reconstruction stack, the persistence decoder,
+# simulation, rewriting and the equivalence checker. Enable with BENCH=1.
 if [ "${BENCH:-0}" = "1" ]; then
 	./scripts/bench.sh || echo "bench.sh failed (non-gating)"
 	go test -run FuzzPrepReconstruction -fuzz FuzzPrepReconstruction \
@@ -77,6 +78,9 @@ if [ "${BENCH:-0}" = "1" ]; then
 	go test -run FuzzRewrite -fuzz FuzzRewrite \
 		-fuzztime=10s ./internal/aig \
 		|| echo "rewrite fuzz smoke failed (non-gating)"
+	go test -run FuzzCheckLits -fuzz FuzzCheckLits \
+		-fuzztime=10s ./internal/cec \
+		|| echo "cec fuzz smoke failed (non-gating)"
 fi
 
 # Optional, gating when enabled: end-to-end ecod daemon smoke tests —
