@@ -5,7 +5,7 @@
 //	ecod serve [-addr :8080] [-workers N] [-cpu-slots N] [-queue N]
 //	           [-max-jobs N] [-default-timeout 0] [-max-timeout 0]
 //	           [-results-dir DIR] [-data-dir DIR] [-drain-grace 10s]
-//	           [-cache-entries 256] [-prep]
+//	           [-cache-entries 256] [-sim] [-rewrite]
 //
 // The daemon exposes POST /v1/jobs, GET /v1/jobs[/{id}],
 // DELETE /v1/jobs/{id}, /healthz and /metrics; SIGTERM/SIGINT drain
@@ -16,7 +16,7 @@
 //
 //	ecod submit  -server URL (-dir DIR | -unit unitK [-scale N])
 //	             [-name S] [-support minimize|final|exact]
-//	             [-patch cubes|interp] [-budget N] [-p N] [-prep]
+//	             [-patch cubes|interp] [-budget N] [-p N] [-sim] [-rewrite]
 //	             [-timeout 30s] [-wait] [-o patch.v]
 //	ecod status  -server URL ID
 //	ecod wait    -server URL ID [-poll 200ms] [-o patch.v]
@@ -103,7 +103,6 @@ func cmdServe(args []string) error {
 		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay solve cache and job history from this directory on boot")
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
 		cacheEnt   = fs.Int("cache-entries", 256, "content-addressed result cache + shared solve cache size (0 disables)")
-		prep       = fs.Bool("prep", false, "enable CNF preprocessing for jobs that do not set it (skipped for interp-patch jobs)")
 		sim        = fs.Bool("sim", false, "enable the bit-parallel simulation layer for jobs that do not set it")
 		rewrite    = fs.Bool("rewrite", false, "enable DAG-aware miter rewriting for jobs that do not set it")
 	)
@@ -116,19 +115,18 @@ func cmdServe(args []string) error {
 		}
 	}
 	srv, err := server.New(server.Config{
-		Workers:           *workers,
-		CPUSlots:          *cpuSlots,
-		QueueCap:          *queueCap,
-		MaxJobs:           *maxJobs,
-		DefaultTimeout:    *defTimeout,
-		MaxTimeout:        *maxTimeout,
-		ResultsDir:        *resultsDir,
-		DataDir:           *dataDir,
-		CacheEntries:      *cacheEnt,
-		DefaultPreprocess: *prep,
-		DefaultSim:        *sim,
-		DefaultRewrite:    *rewrite,
-		Log:               logger,
+		Workers:        *workers,
+		CPUSlots:       *cpuSlots,
+		QueueCap:       *queueCap,
+		MaxJobs:        *maxJobs,
+		DefaultTimeout: *defTimeout,
+		MaxTimeout:     *maxTimeout,
+		ResultsDir:     *resultsDir,
+		DataDir:        *dataDir,
+		CacheEntries:   *cacheEnt,
+		DefaultSim:     *sim,
+		DefaultRewrite: *rewrite,
+		Log:            logger,
 	})
 	if err != nil {
 		return err
@@ -182,7 +180,6 @@ func cmdSubmit(args []string) error {
 		patchA  = fs.String("patch", "", "patch computation: cubes, interp")
 		budget  = fs.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
 		par     = fs.Int("p", 0, "intra-solve parallelism for this job (0 = serial daemon default)")
-		prep    = fs.Bool("prep", false, "enable CNF preprocessing for this job (incompatible with -patch interp)")
 		sim     = fs.Bool("sim", false, "enable the bit-parallel simulation layer for this job")
 		rewrite = fs.Bool("rewrite", false, "enable DAG-aware miter rewriting for this job")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
@@ -210,17 +207,13 @@ func cmdSubmit(args []string) error {
 		TimeoutSec:  timeout.Seconds(),
 		Parallelism: *par,
 	}
-	if *prep {
-		// Only an explicit -prep is sent; absent lets the server
-		// default (-prep on serve) decide.
-		req.Options.Preprocess = prep
-	}
 	if *sim {
-		// Same tri-state convention as -prep.
+		// Only an explicit -sim is sent; absent lets the server
+		// default (-sim on serve) decide.
 		req.Options.Sim = sim
 	}
 	if *rewrite {
-		// Same tri-state convention as -prep.
+		// Same tri-state convention as -sim.
 		req.Options.Rewrite = rewrite
 	}
 

@@ -26,9 +26,6 @@ type JSONReport struct {
 	// warm-vs-cold runs, the geomean cold/warm wall-clock ratio.
 	CacheEntries int     `json:"cache_entries,omitempty"`
 	WarmSpeedup  float64 `json:"warm_speedup,omitempty"`
-	// Preprocess records whether the sweep ran with CNF preprocessing
-	// (additive field; absent in pre-prep reports means off).
-	Preprocess bool `json:"preprocess,omitempty"`
 	// Sim records whether the sweep ran with the bit-parallel
 	// simulation layer (additive field; absent means off).
 	Sim bool `json:"sim,omitempty"`
@@ -87,13 +84,6 @@ type JSONCell struct {
 	CacheCollisions int64   `json:"cache_collisions,omitempty"`
 	ColdSeconds     float64 `json:"cold_seconds,omitempty"`
 
-	// Additive preprocessing counters (present only when the cell ran
-	// with -prep; the schema stays table1@v1).
-	PrepVarsEliminated   int64   `json:"prep_vars_eliminated,omitempty"`
-	PrepClausesSubsumed  int64   `json:"prep_clauses_subsumed,omitempty"`
-	PrepLitsStrengthened int64   `json:"prep_lits_strengthened,omitempty"`
-	PrepSeconds          float64 `json:"prep_seconds,omitempty"`
-
 	// Additive simulation-layer counters (present only when the cell
 	// ran with -sim; the schema stays table1@v1).
 	SimElided   int64 `json:"sim_elided,omitempty"`
@@ -138,11 +128,6 @@ func cellFromAlgo(a AlgoResult) JSONCell {
 		CacheMisses:     a.CacheMisses,
 		CacheCollisions: a.CacheCollisions,
 
-		PrepVarsEliminated:   a.PrepVarsEliminated,
-		PrepClausesSubsumed:  a.PrepClausesSubsumed,
-		PrepLitsStrengthened: a.PrepLitsStrengthened,
-		PrepSeconds:          a.PrepSeconds,
-
 		SimElided:   a.SimElided,
 		SimPruned:   a.SimPruned,
 		SimPatterns: a.SimPatterns,
@@ -180,7 +165,6 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 		rep.Parallelism = 1
 	}
 	rep.CacheEntries = opts.CacheEntries
-	rep.Preprocess = opts.Preprocess
 	rep.Sim = opts.Sim
 	rep.Rewrite = opts.Rewrite
 	if opts.Timeout > 0 {

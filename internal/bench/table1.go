@@ -57,12 +57,6 @@ type AlgoResult struct {
 	CacheMisses     int64
 	CacheCollisions int64
 
-	// Preprocessing counters (zero unless the cell ran with -prep).
-	PrepVarsEliminated   int64
-	PrepClausesSubsumed  int64
-	PrepLitsStrengthened int64
-	PrepSeconds          float64
-
 	// Simulation-layer counters (zero unless the cell ran with -sim).
 	SimElided   int64
 	SimPruned   int64
@@ -154,7 +148,6 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	opt.Timeout = opts.Timeout
 	opt.Parallelism = opts.Parallelism
 	opt.Cache = opts.Cache
-	opt.Preprocess = opts.Preprocess
 	opt.SimBank = opts.Sim
 	opt.SimPrune = opts.Sim
 	opt.Rewrite = opts.Rewrite
@@ -206,11 +199,6 @@ func AlgoFromResult(res *eco.Result) AlgoResult {
 		CacheMisses:     res.Stats.CacheMisses,
 		CacheCollisions: res.Stats.CacheCollisions,
 
-		PrepVarsEliminated:   res.Stats.Prep.VarsEliminated,
-		PrepClausesSubsumed:  res.Stats.Prep.ClausesSubsumed,
-		PrepLitsStrengthened: res.Stats.Prep.LitsStrengthened,
-		PrepSeconds:          res.Stats.Prep.PrepTime.Seconds(),
-
 		SimElided:   res.Stats.SimElided,
 		SimPruned:   res.Stats.SimPruned,
 		SimPatterns: res.Stats.SimPatterns,
@@ -240,10 +228,6 @@ type RunOptions struct {
 	// Cache, when non-nil, is the shared cache handed to every cell —
 	// the warm-run harness threads one cache through both passes.
 	Cache *cache.Cache
-	// Preprocess enables CNF preprocessing (bounded variable
-	// elimination, subsumption, vivification) on every captured solve
-	// of the sweep (ecobench -prep).
-	Preprocess bool
 	// Sim enables the bit-parallel simulation layer — pattern-bank
 	// SAT-call elision and divisor pruning — on every cell of the
 	// sweep (ecobench -sim).

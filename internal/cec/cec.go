@@ -55,15 +55,6 @@ type CheckOptions struct {
 	// by PI position; pairs the rewriting proves equal structurally
 	// never reach a solver at all.
 	Rewrite bool
-	// Preprocess, when enabled, simplifies each shard's captured diff
-	// query (bounded variable elimination, subsumption, vivification)
-	// before it is cached or solved. PI variables are frozen so
-	// counterexample readback stays exact; cached models are extended
-	// through the reconstruction stack, so they remain valid for the
-	// original encoding. With a cache configured the key is the
-	// post-preprocess formula, so semantically-converging encodings hit
-	// the same line.
-	Preprocess sat.PrepConfig
 }
 
 // Result reports the outcome of an equivalence check.
@@ -83,9 +74,6 @@ type Result struct {
 	CacheHits       int64
 	CacheMisses     int64
 	CacheCollisions int64
-	// Prep aggregates the preprocessing work of every shard (zero
-	// unless CheckOptions.Preprocess was enabled).
-	Prep sat.PrepStats
 }
 
 // CheckAIGs decides whether two AIGs with identical PI/PO counts are
@@ -306,17 +294,15 @@ func readPairs(g *aig.AIG, n int) (pis, t1, t2 []aig.Lit) {
 	return pis, t1, t2
 }
 
-// cacheTally is per-shard solve-cache and preprocessing traffic.
+// cacheTally is per-shard solve-cache traffic.
 type cacheTally struct {
 	hits, misses, collisions int64
-	prep                     sat.PrepStats
 }
 
 func (t *cacheTally) add(o cacheTally) {
 	t.hits += o.hits
 	t.misses += o.misses
 	t.collisions += o.collisions
-	t.prep.Add(o.prep)
 }
 
 // encodePairDiff Tseitin-encodes "some pair in idx differs" into
@@ -353,24 +339,14 @@ func encodePairDiff(sink cnf.Sink, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, 
 // and encoder. s may be nil (a fresh solver is then built), and the
 // returned counterexample is indexed by PI position. With a cache
 // configured the encoding is captured first and a screened hit is
-// served without solving; with preprocessing enabled the capture is
-// simplified (PI variables frozen) before caching or solving, and
-// every cached model is reconstruction-extended so it stays valid for
-// the original encoding.
+// served without solving.
 func solvePairShard(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int, opt CheckOptions, s *sat.Solver) (sat.Status, []bool, int64, cacheTally) {
 	var f *cnf.Formula
-	var rec *sat.Reconstruction
 	var piLits []sat.Lit
 	var tally cacheTally
-	if opt.Cache != nil || opt.Preprocess.Enable {
+	if opt.Cache != nil {
 		f = &cnf.Formula{}
 		piLits = encodePairDiff(f, m, pis, t1, t2, idx)
-		if opt.Preprocess.Enable {
-			pp := f.Preprocess(piLits, opt.Preprocess)
-			tally.prep = pp.Stats
-			rec = pp.Rec
-			f = pp.F
-		}
 	}
 	if opt.Cache != nil {
 		if v, ok, coll := opt.Cache.Lookup(f, nil); ok {
@@ -419,11 +395,6 @@ func solvePairShard(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int, opt 
 			for v := range model {
 				model[v] = s.ModelBool(sat.PosLit(sat.Var(v)))
 			}
-			// Re-derive eliminated variables so the cached model is a
-			// model of the original encoding, not just the simplified
-			// one (it satisfies both: every simplified clause is a
-			// consequence of the original formula).
-			rec.Extend(model)
 		}
 		opt.Cache.Insert(f, nil, cache.Verdict{Status: st, Model: model})
 	}
@@ -452,8 +423,7 @@ func mergePairVerdicts(m *aig.AIG, t1, t2 []aig.Lit, statuses []sat.Status, cexs
 	switch {
 	case satShard >= 0:
 		res := Result{Equivalent: false, Conflicts: conflicts,
-			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions,
-			Prep: tally.prep}
+			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}
 		res.Counterexample = cexs[satShard]
 		// Identify a failing output index by evaluation, scanning the
 		// full pair list so the lowest failing index is reported. One
@@ -471,8 +441,7 @@ func mergePairVerdicts(m *aig.AIG, t1, t2 []aig.Lit, statuses []sat.Status, cexs
 		return res, nil
 	case allUnsat:
 		return Result{Equivalent: true, Conflicts: conflicts,
-			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions,
-			Prep: tally.prep}, nil
+			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}, nil
 	default:
 		// Budget exhausted or interrupted: no verdict either way.
 		return Result{}, ErrGaveUp

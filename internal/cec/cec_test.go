@@ -188,3 +188,88 @@ func TestSelfEquivalenceOfClone(t *testing.T) {
 		}
 	}
 }
+
+// swappedMultipliers builds an n x n array multiplier and its
+// operand-swapped twin in one AIG and returns their product edges. The
+// partial products hash together but the sums do not, and at n = 6 the
+// fraig front end gives up on the outputs within its per-query budget,
+// so an equivalence check over the pair still reaches its final query.
+func swappedMultipliers(n int) (*aig.AIG, []aig.Lit, []aig.Lit) {
+	g := aig.New()
+	as := make([]aig.Lit, n)
+	bs := make([]aig.Lit, n)
+	for i := 0; i < n; i++ {
+		as[i] = g.AddPI("a")
+	}
+	for i := 0; i < n; i++ {
+		bs[i] = g.AddPI("b")
+	}
+	mul := func(x, y []aig.Lit) []aig.Lit {
+		acc := make([]aig.Lit, 2*n)
+		for i := range acc {
+			acc[i] = aig.ConstFalse
+		}
+		for j := 0; j < n; j++ {
+			carry := aig.ConstFalse
+			for i := 0; i < n; i++ {
+				pp := g.And(x[i], y[j])
+				s := acc[i+j]
+				acc[i+j] = g.Xor(g.Xor(s, pp), carry)
+				carry = g.Or(g.And(s, pp), g.And(carry, g.Or(s, pp)))
+			}
+			acc[j+n] = carry
+		}
+		return acc
+	}
+	return g, mul(as, bs), mul(bs, as)
+}
+
+// TestSwappedMultipliersEquivalent proves the operand-swapped 6x6
+// multipliers equal through the final SAT query, serially and sharded.
+func TestSwappedMultipliersEquivalent(t *testing.T) {
+	g, xs, ys := swappedMultipliers(6)
+	for _, shards := range []int{1, 2} {
+		res, err := CheckLitsOpt(g, xs, ys, CheckOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equivalent {
+			t.Fatalf("shards=%d: operand-swapped multipliers reported inequivalent", shards)
+		}
+	}
+}
+
+// TestSwappedMultipliersCounterexample mutates one product bit of the
+// swapped multiplier: the check must return a counterexample that
+// distinguishes the pair it names when evaluated on the original
+// graph, not only on the swept miter the final query solved.
+func TestSwappedMultipliersCounterexample(t *testing.T) {
+	const n = 6
+	g, xs, ys := swappedMultipliers(n)
+	ys[5] = g.Xor(ys[5], g.And(g.PI(0), g.PI(n+1)))
+	res, err := CheckLits(g, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Equivalent {
+		t.Fatal("mutated multiplier reported equivalent")
+	}
+	if len(res.Counterexample) != g.NumPIs() {
+		t.Fatalf("counterexample has %d values, want %d", len(res.Counterexample), g.NumPIs())
+	}
+	ev := aig.NewEvaluator(g)
+	ev.Eval(res.Counterexample)
+	lowest := -1
+	for k := range xs {
+		if ev.Lit(xs[k]) != ev.Lit(ys[k]) {
+			lowest = k
+			break
+		}
+	}
+	if lowest < 0 {
+		t.Fatalf("counterexample %v distinguishes no pair on the original graph", res.Counterexample)
+	}
+	if res.FailingOutput != lowest {
+		t.Fatalf("FailingOutput %d, lowest distinguished pair %d", res.FailingOutput, lowest)
+	}
+}

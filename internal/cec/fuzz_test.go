@@ -6,7 +6,6 @@ import (
 
 	"ecopatch/internal/aig"
 	"ecopatch/internal/cache"
-	"ecopatch/internal/sat"
 )
 
 // FuzzCheckLits checks CheckLitsOpt, fraig front end included, against
@@ -15,8 +14,8 @@ import (
 // expansion of the first about a random PI, a new structure for the
 // same function, and a pair whose bit is set in the low nibble of mode
 // gets one cofactor XORed with a random node, which usually breaks the
-// equivalence. The high bits of mode pick the solve route: two shards,
-// rewriting, preprocessing, a solve cache. The verdict must match the
+// equivalence. The high bits of mode pick the solve route: two shards
+// (0x10), rewriting (0x20), a solve cache (0x80); 0x40 is unused. The verdict must match the
 // simulation, a counterexample must distinguish some pair, and
 // FailingOutput must be the lowest pair it distinguishes.
 func FuzzCheckLits(f *testing.F) {
@@ -64,9 +63,6 @@ func FuzzCheckLits(f *testing.F) {
 			opt.Shards = 2
 		}
 		opt.Rewrite = mode&0x20 != 0
-		if mode&0x40 != 0 {
-			opt.Preprocess = sat.DefaultPrepConfig()
-		}
 		if mode&0x80 != 0 {
 			opt.Cache = cache.NewSolveCache(16)
 		}

@@ -143,10 +143,7 @@ func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
 	set(2, o.FunctionalMatch)
 	set(3, o.ForceStructural)
 	set(4, e.par() == 1)
-	// Preprocessed runs solve simplified queries and may synthesize
-	// different (equally valid) patches; keep their window entries
-	// apart so each mode stays reproducible against itself.
-	set(5, o.Preprocess)
+	// Bit 5 is unused.
 	// Simulation modes change which queries the solver actually sees
 	// (pruned divisor sets, bank-elided re-solves), so the computed
 	// patch may differ — same verdict and cost, different structure.

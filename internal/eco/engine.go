@@ -123,24 +123,6 @@ type Options struct {
 	// patches may differ from the serial ones but always verify.
 	Parallelism int
 
-	// Preprocess enables SatELite-style CNF simplification (bounded
-	// variable elimination, subsumption with self-subsuming resolution,
-	// clause vivification and failed-literal probing) on every captured
-	// SAT query: the cofactor feasibility check, each target's
-	// expression-(2) encoding, and the final verification shards. The
-	// formula is simplified once per query and shared by every
-	// portfolio member; assumption and model-readback variables are
-	// frozen so incremental follow-ups stay exact, and eliminated
-	// variables are re-derived by the reconstruction stack before any
-	// model is consumed. Verdicts are unchanged; at Parallelism=1 a
-	// preprocessed run is bit-for-bit reproducible (against itself —
-	// the simplified queries differ from unpreprocessed ones, so the
-	// caches key on the post-preprocess formula and never mix modes).
-	// Incompatible with PatchInterpolation: interpolation needs a
-	// resolution proof over the original clauses, so Solve returns
-	// ErrPrepWithProofs for that combination.
-	Preprocess bool
-
 	// SimBank enables pattern-bank SAT-call elision: every full model
 	// produced by a window's satisfiable queries is banked as a
 	// 64-packed pattern over the encoding's assumption and read-back
@@ -290,12 +272,6 @@ type Stats struct {
 	// solver created during the run, for per-solver profiling in
 	// ecobench reports.
 	Solver sat.Stats
-
-	// Prep aggregates the CNF preprocessing work of every captured
-	// query (zero unless Options.Preprocess was set): variables
-	// eliminated, clauses subsumed, literals strengthened, and the
-	// wall clock spent simplifying.
-	Prep sat.PrepStats
 }
 
 // Add accumulates o into s, for aggregating counters across solves
@@ -333,7 +309,6 @@ func (s *Stats) Add(o Stats) {
 	s.PatchTime += o.PatchTime
 	s.VerifyTime += o.VerifyTime
 	s.Solver.Add(o.Solver)
-	s.Prep.Add(o.Prep)
 }
 
 // Result is the outcome of Solve.
@@ -480,32 +455,6 @@ func (e *engine) newPortfolio(f *cnf.Formula) *sat.Portfolio {
 	return p
 }
 
-// ErrPrepWithProofs reports the one forbidden option combination:
-// CNF preprocessing rewrites the formula, so the resolution proof the
-// interpolation patch method needs would not refute the original
-// clauses. Callers must disable one of the two; the engine refuses
-// up front rather than computing an interpolant from a bogus proof.
-var ErrPrepWithProofs = errors.New(
-	"eco: Options.Preprocess is incompatible with PatchInterpolation (proof logging needs the original clauses)")
-
-// prepCfg returns the preprocessing knobs for captured queries, or a
-// disabled config when Options.Preprocess is off.
-func (e *engine) prepCfg() sat.PrepConfig {
-	if !e.opt.Preprocess {
-		return sat.PrepConfig{}
-	}
-	return sat.DefaultPrepConfig()
-}
-
-// preprocess simplifies a captured query, folding the pass counters
-// into the run stats. frozen lists the literals later Solve calls
-// assume or read back; their variables survive elimination.
-func (e *engine) preprocess(f *cnf.Formula, frozen []sat.Lit) *cnf.Preprocessed {
-	pp := f.Preprocess(frozen, e.prepCfg())
-	e.stats.Prep.Add(pp.Stats)
-	return pp
-}
-
 // recordRace folds one finished portfolio race into the run stats.
 func (e *engine) recordRace(p *sat.Portfolio) {
 	e.stats.PortfolioRaces++
@@ -531,9 +480,6 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	start := time.Now()
 	if err := inst.Check(); err != nil {
 		return nil, err
-	}
-	if opt.Preprocess && opt.Patch == PatchInterpolation {
-		return nil, ErrPrepWithProofs
 	}
 	if opt.MaxQuantExpand <= 0 {
 		opt.MaxQuantExpand = 8

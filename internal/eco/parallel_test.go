@@ -180,3 +180,23 @@ func TestStatsAddMergesPortfolioWins(t *testing.T) {
 		t.Fatalf("merged stats: races=%d wins=%v", total.PortfolioRaces, total.PortfolioWins)
 	}
 }
+
+// TestInterpolationVerifies pins the interpolation path (resolution-
+// proof replay) on the multi-target case: it solves, verifies, and its
+// patch passes the independent netlist-splice check.
+func TestInterpolationVerifies(t *testing.T) {
+	tc := parallelCases(t)["multi"]
+	opt := tc.opt
+	opt.Patch = PatchInterpolation
+	res, err := Solve(tc.inst, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified {
+		t.Fatal("interpolation patch not verified")
+	}
+	ok, err := VerifyPatch(tc.inst, res.Patch)
+	if err != nil || !ok {
+		t.Fatalf("interpolation patch failed VerifyPatch: ok=%v err=%v", ok, err)
+	}
+}

@@ -88,36 +88,19 @@ func (e *engine) checkFeasible() (bool, error) {
 		return true, nil
 	}
 	// The solve cache keys on the captured encoding; capture is also
-	// what the portfolio and preprocessing paths need, and at
-	// Parallelism=1 replaying the capture into a fresh solver is
-	// bit-identical to encoding into it directly (the Formula replay
-	// contract). With preprocessing on, the query is simplified once —
-	// shared by every portfolio member — and the cache keys on the
-	// post-preprocess formula. No variable is frozen: the check solves
-	// without assumptions and the model is reconstruction-extended
-	// before it is cached.
+	// what the portfolio needs, and at Parallelism=1 replaying the
+	// capture into a fresh solver is bit-identical to encoding into it
+	// directly (the Formula replay contract).
 	useCache := e.solveCache() != nil
 	var f *cnf.Formula
-	var rec *sat.Reconstruction
-	prepUnsat := false
-	if e.par() > 1 || useCache || e.opt.Preprocess {
+	if e.par() > 1 || useCache {
 		f = &cnf.Formula{}
 		enc := cnf.NewEncoder(f, fg)
 		f.AddClause(enc.Lit(quant))
-		if e.opt.Preprocess {
-			pp := e.preprocess(f, nil)
-			f, rec, prepUnsat = pp.F, pp.Rec, pp.Unsat
-		}
 	}
 	var st sat.Status
 	cached := false
-	if prepUnsat {
-		// Preprocessing refuted the query outright; skip the cache (the
-		// verdict is free to recompute) and the solve.
-		st = sat.Unsat
-		cached = true
-	}
-	if !cached && useCache {
+	if useCache {
 		if v, ok, coll := e.opt.Cache.Solve.Lookup(f, nil); ok {
 			e.stats.CacheHits++
 			e.stats.CacheCollisions += int64(coll)
@@ -156,11 +139,6 @@ func (e *engine) checkFeasible() (bool, error) {
 			st = s.Solve()
 		}
 		if useCache {
-			if model != nil {
-				// With preprocessing on, extend the model first so the
-				// cached witness is valid for the original encoding too.
-				rec.Extend(model)
-			}
 			e.opt.Cache.Solve.Insert(f, nil, cache.Verdict{Status: st, Model: model})
 		}
 	}

@@ -145,9 +145,8 @@ func (e *engine) encodeExprTwo(sink cnf.Sink, g *aig.AIG, m0, m1 aig.Lit, divs [
 	}
 	// Capture each copy's PI literals for pattern harvesting. Every
 	// cone is fully encoded by now and Encoded() screens the rest, so
-	// the capture never alters the clause/variable stream. Skipped
-	// under preprocessing: eliminated PI variables have no model value.
-	if e.simEnabled() && !e.opt.Preprocess {
+	// the capture never alters the clause/variable stream.
+	if e.simEnabled() {
 		e.winPIs1 = e.capturePIs(enc1, g)
 		e.winPIs2 = e.capturePIs(enc2, g)
 	}
@@ -200,50 +199,24 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	// Expression (2): UNSAT under all equalities iff the divisors can
 	// express a patch. At Parallelism > 1 the query races across the
 	// portfolio and the winner carries on as the incremental solver
-	// for support minimization and cube enumeration below. With
-	// preprocessing on, the captured encoding is simplified once
-	// (shared by every member); the miter roots, equality selectors
-	// and both divisor-copy literal sets are frozen — everything the
-	// incremental follow-ups assume, read back, or block on.
+	// for support minimization and cube enumeration below.
 	var s *sat.Solver
 	var ec exprTwoEnc
-	if e.par() > 1 || e.opt.Preprocess {
+	if e.par() > 1 {
 		var f cnf.Formula
 		ec = e.encodeExprTwo(&f, wg, m0, m1, divs)
-		load := &f
-		if e.opt.Preprocess {
-			frozen := make([]sat.Lit, 0, 2+3*len(divs))
-			frozen = append(frozen, ec.r1, ec.r2)
-			frozen = append(frozen, ec.auxs...)
-			frozen = append(frozen, ec.d1s...)
-			frozen = append(frozen, ec.d2s...)
-			load = e.preprocess(&f, frozen).F
+		p := e.newPortfolio(&f)
+		e.stats.SATCalls++
+		st := p.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...)
+		e.recordRace(p)
+		switch st {
+		case sat.Sat:
+			e.bankModel(p) // the insufficiency witness is a useful pattern
+			return errInsufficient
+		case sat.Unknown:
+			return errBudget
 		}
-		if e.par() > 1 {
-			p := e.newPortfolio(load)
-			e.stats.SATCalls++
-			st := p.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...)
-			e.recordRace(p)
-			switch st {
-			case sat.Sat:
-				e.bankModel(p) // the insufficiency witness is a useful pattern
-				return errInsufficient
-			case sat.Unknown:
-				return errBudget
-			}
-			s = p.Winner()
-		} else {
-			s = e.newSolver()
-			load.LoadInto(s)
-			e.stats.SATCalls++
-			switch s.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...) {
-			case sat.Sat:
-				e.bankModel(s)
-				return errInsufficient
-			case sat.Unknown:
-				return errBudget
-			}
-		}
+		s = p.Winner()
 	} else {
 		s = e.newSolver()
 		ec = e.encodeExprTwo(s, wg, m0, m1, divs)

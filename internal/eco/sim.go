@@ -65,8 +65,7 @@ func (e *engine) addPattern(assign []bool) {
 // which would make banked models useless for elision). Sound because
 // each aux variable occurs only in its two implication clauses
 // a -> (d1 == d2), which the strengthened assignment satisfies — so it
-// is still a model of the original formula, and of every clause
-// preprocessing derived from it.
+// is still a model of the original formula.
 type auxModel struct {
 	m   sim.Model
 	eqs map[sat.Var][2]sat.Lit
@@ -95,8 +94,7 @@ func (e *engine) bankModel(m sim.Model) {
 
 // harvestPIs pools the two input patterns a model of the two-copy
 // encoding exposes (one per copy). Unencoded PIs — outside the
-// window's cones — read as false; nil vectors mean capture was
-// disabled (preprocessing may have eliminated PI variables).
+// window's cones — read as false; nil vectors mean simulation is off.
 func (e *engine) harvestPIs(m sim.Model) {
 	for _, pis := range [][]sat.Lit{e.winPIs1, e.winPIs2} {
 		if pis == nil {
@@ -254,7 +252,7 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 
 // proveEqual reports whether two window edges are functionally
 // equivalent, via a conflict-budgeted equivalence check that shares the
-// engine's solve cache, preprocessing config, and interrupt group. A
+// engine's solve cache and interrupt group. A
 // refuting counterexample is pooled as a simulation pattern; Unknown
 // (budget or deadline) reports false, which keeps the divisor.
 func (e *engine) proveEqual(a, b aig.Lit) bool {
@@ -262,12 +260,10 @@ func (e *engine) proveEqual(a, b aig.Lit) bool {
 		ConfBudget: simPruneProofBudget,
 		OnSolver:   e.group.add,
 		Cache:      e.solveCache(),
-		Preprocess: e.prepCfg(),
 	})
 	e.stats.CacheHits += res.CacheHits
 	e.stats.CacheMisses += res.CacheMisses
 	e.stats.CacheCollisions += res.CacheCollisions
-	e.stats.Prep.Add(res.Prep)
 	if err != nil || !res.Equivalent {
 		if err == nil && res.Counterexample != nil {
 			e.addPattern(res.Counterexample)

@@ -22,16 +22,14 @@ func (e *engine) verify() (bool, error) {
 	}
 	patched := aig.Transfer(e.w, e.w, piMap, e.implPOs)
 	res, err := cec.CheckLitsOpt(e.w, patched, e.specPOs, cec.CheckOptions{
-		OnSolver:   e.group.add,
-		Shards:     e.par(),
-		Cache:      e.solveCache(),
-		Preprocess: e.prepCfg(),
-		Rewrite:    e.opt.Rewrite,
+		OnSolver: e.group.add,
+		Shards:   e.par(),
+		Cache:    e.solveCache(),
+		Rewrite:  e.opt.Rewrite,
 	})
 	e.stats.CacheHits += res.CacheHits
 	e.stats.CacheMisses += res.CacheMisses
 	e.stats.CacheCollisions += res.CacheCollisions
-	e.stats.Prep.Add(res.Prep)
 	if err != nil {
 		if errors.Is(err, cec.ErrGaveUp) {
 			// Interrupted (deadline): no verdict, so the patch cannot

@@ -44,7 +44,7 @@ type RecordType uint8
 
 // The record families the stack persists.
 const (
-	// RecSolve is one solve-cache entry: post-preprocess formula +
+	// RecSolve is one solve-cache entry: captured formula +
 	// assumptions + verdict/model words (codec in solve.go).
 	RecSolve RecordType = 1
 	// RecJob is one ecod job transition record (JSON payload, framed

@@ -15,7 +15,7 @@ import (
 )
 
 // Solve-record codec: the binary form of one cache.SolveCache entry.
-// The FULL post-preprocess formula is stored, not just its hash — the
+// The FULL captured formula is stored, not just its hash — the
 // cache's collision discipline requires a word-for-word content
 // screen before a hit is served, and that screen needs the words.
 //

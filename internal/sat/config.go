@@ -94,14 +94,6 @@ type Config struct {
 	Phase PhaseInit
 	// Seed feeds the PhaseRand hash. Ignored by the other modes.
 	Seed uint64
-
-	// Preprocess tunes the CNF preprocessing pass (see Preprocess).
-	// The pass itself runs over captured formulas before they reach a
-	// solver, not inside the solver; the knobs live here so callers
-	// configure search and simplification in one place. Preprocessing
-	// rewrites the formula, so it is incompatible with resolution-proof
-	// logging: StartProof refuses when Preprocess.Enable is set.
-	Preprocess PrepConfig
 }
 
 // DefaultConfig returns the Glucose-style defaults.

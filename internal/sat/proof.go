@@ -39,15 +39,7 @@ const (
 // StartProof enables proof logging on s. It must be called before any
 // clause is added. Clauses added afterwards belong to partition A
 // until BeginB is called.
-//
-// Proof logging is incompatible with CNF preprocessing: the pass
-// rewrites the formula, so a resolution proof over the simplified
-// clauses would not refute the original ones. StartProof panics when
-// the solver's Config enables preprocessing; callers must pick one.
 func (s *Solver) StartProof() *Proof {
-	if s.cfg.Preprocess.Enable {
-		panic("sat: proof logging is incompatible with preprocessing (Config.Preprocess)")
-	}
 	if len(s.clauses) > 0 || len(s.trail) > 0 || len(s.assigns) > 0 {
 		panic("sat: StartProof must be called on a fresh solver")
 	}

@@ -84,10 +84,6 @@ type JobOptions struct {
 	// pool. 0 means 1 — the daemon keeps jobs serial by default so one
 	// job cannot monopolize the workers.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Preprocess enables CNF preprocessing (BVE, subsumption,
-	// vivification) on the job's captured solves. Absent takes the
-	// server default (-prep); incompatible with patch "interp".
-	Preprocess *bool `json:"preprocess,omitempty"`
 	// Sim enables the bit-parallel simulation layer (pattern-bank SAT
 	// call elision + divisor pruning) for the job. Absent takes the
 	// server default (-sim).
@@ -146,20 +142,14 @@ func (o JobOptions) Eco() (eco.Options, error) {
 	if o.Parallelism < 0 {
 		return opt, fmt.Errorf("parallelism must be >= 0")
 	}
-	// The zero value is normalized to 1 by the worker (serial daemon
+	// The zero value is normalized to 1 at submission (serial daemon
 	// default), then clamped to the CPU-slot pool.
 	opt.Parallelism = o.Parallelism
-	if o.Preprocess != nil {
-		opt.Preprocess = *o.Preprocess
-	}
 	if o.Sim != nil {
 		opt.SimBank, opt.SimPrune = *o.Sim, *o.Sim
 	}
 	if o.Rewrite != nil {
 		opt.Rewrite = *o.Rewrite
-	}
-	if opt.Preprocess && opt.Patch == eco.PatchInterpolation {
-		return opt, fmt.Errorf("preprocess is incompatible with patch \"interp\" (proof logging needs the original clauses)")
 	}
 	return opt, nil
 }

@@ -302,12 +302,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_sat_shared_out_total", "Learnt clauses exported to portfolio exchanges.", st.Solver.SharedOut)
 	counter("ecod_sat_shared_in_total", "Learnt clauses imported from portfolio exchanges.", st.Solver.SharedIn)
 
-	// CNF preprocessing counters (zero until a job runs with
-	// preprocess enabled).
-	counter("ecod_sat_prep_vars_eliminated_total", "Variables eliminated by CNF preprocessing (bounded variable elimination).", st.Prep.VarsEliminated)
-	counter("ecod_sat_prep_clauses_subsumed_total", "Clauses removed by preprocessing subsumption.", st.Prep.ClausesSubsumed)
-	counter("ecod_sat_prep_lits_strengthened_total", "Literals removed by self-subsuming resolution and vivification.", st.Prep.LitsStrengthened)
-	fcounter("ecod_sat_prep_seconds_total", "Wall clock spent inside CNF preprocessing.", st.Prep.PrepTime.Seconds())
 	fcounter("ecod_rewrite_seconds_total", "Wall clock spent inside DAG-aware miter rewriting.", st.RewriteTime.Seconds())
 
 	// Portfolio race outcomes (intra-solve parallelism), labeled by

@@ -37,7 +37,7 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 			h.Write([]byte{0})
 		}
 	}
-	ws("ecod-digest@v1")
+	ws("ecod-digest@v2")
 	ws(req.Impl)
 	ws(req.Spec)
 	ws(req.Weights)
@@ -54,7 +54,6 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 	wi(int64(opt.MaxQuantExpand))
 	wi(int64(opt.Timeout / time.Nanosecond))
 	wi(int64(opt.Parallelism))
-	wb(opt.Preprocess)
 	wb(opt.SimBank)
 	wb(opt.SimPrune)
 	wb(opt.Rewrite)

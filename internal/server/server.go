@@ -50,12 +50,6 @@ type Config struct {
 	// ResultsDir, when set, persists every finished job's result as
 	// <dir>/<id>.json, written atomically.
 	ResultsDir string
-	// DefaultPreprocess enables CNF preprocessing for jobs that leave
-	// "preprocess" unset (ecod serve -prep). The default is skipped,
-	// not errored, for interpolation-patch jobs: preprocessing is
-	// incompatible with proof logging, and a server-wide default must
-	// not reject jobs that never asked for it.
-	DefaultPreprocess bool
 	// DefaultSim enables the bit-parallel simulation layer (pattern
 	// bank + divisor pruning) for jobs that leave "sim" unset
 	// (ecod serve -sim).
@@ -199,21 +193,11 @@ func (s *Server) worker() {
 
 // runJob executes one job end to end and records its terminal state.
 func (s *Server) runJob(j *Job) {
-	// CPU-slot admission: a job weighs its intra-solve parallelism.
-	// 0 means the daemon default of 1 (serial) — the engine's
-	// GOMAXPROCS-aware default would let one job monopolize the pool.
-	par := j.opt.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	if par > s.cfg.CPUSlots {
-		par = s.cfg.CPUSlots
-	}
-	j.opt.Parallelism = par
 	if s.ecoCache != nil {
 		j.opt.Cache = s.ecoCache
 	}
-	held, ok := s.slots.acquire(par, s.quit)
+	// CPU-slot admission, at the parallelism handleSubmit normalized.
+	held, ok := s.slots.acquire(j.opt.Parallelism, s.quit)
 	if !ok {
 		s.store.Finish(j, StateCancelled, "server draining", nil)
 		return
@@ -303,10 +287,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus) {
 		stats.CacheHits = status.Result.CacheHits
 		stats.CacheMisses = status.Result.CacheMisses
 		stats.CacheCollisions = status.Result.CacheCollisions
-		stats.Prep.VarsEliminated = status.Result.PrepVarsEliminated
-		stats.Prep.ClausesSubsumed = status.Result.PrepClausesSubsumed
-		stats.Prep.LitsStrengthened = status.Result.PrepLitsStrengthened
-		stats.Prep.PrepTime = time.Duration(status.Result.PrepSeconds * float64(time.Second))
 		stats.SimElided = status.Result.SimElided
 		stats.SimPruned = status.Result.SimPruned
 		stats.SimPatterns = status.Result.SimPatterns
@@ -473,9 +453,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if opt.Timeout == 0 {
 		opt.Timeout = s.cfg.DefaultTimeout
 	}
-	if req.Options.Preprocess == nil && s.cfg.DefaultPreprocess && opt.Patch != eco.PatchInterpolation {
-		opt.Preprocess = true
-	}
 	if req.Options.Sim == nil && s.cfg.DefaultSim {
 		opt.SimBank, opt.SimPrune = true, true
 	}
@@ -485,6 +462,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxTimeout > 0 && (opt.Timeout == 0 || opt.Timeout > s.cfg.MaxTimeout) {
 		opt.Timeout = s.cfg.MaxTimeout
 	}
+	// A job's intra-solve parallelism weighs against the CPU-slot
+	// pool: 0 means the daemon default of 1 (serial) — the engine's
+	// GOMAXPROCS-aware default would let one job monopolize the pool —
+	// and requests above the pool are clamped to it. Normalizing
+	// before digesting lets submissions that run the same solve share
+	// one digest.
+	opt.Parallelism = min(max(opt.Parallelism, 1), s.cfg.CPUSlots)
 
 	j := s.store.NewJob(inst.Name, inst, opt)
 	if s.rcache != nil {

@@ -12,9 +12,7 @@
 # Also records the Table-1 sweep at intra-solve parallelism 1 and 4
 # (BENCH_table1_p1.json / BENCH_table1_p4.json, additive fields on
 # ecobench/table1@v1) so the serial/parallel wall-clock ratio is
-# tracked alongside the microbenchmarks, plus a preprocessing run
-# (BENCH_table1_prep.json) whose cells carry the prep_* counters for
-# before/after comparison against the p1 baseline, a restart-warm run
+# tracked alongside the microbenchmarks, plus a restart-warm run
 # against a persisted solve-cache file (BENCH_table1_persist.json,
 # experiment E14), a simulation-layer run (BENCH_table1_sim.json,
 # experiment E15) whose cells carry the sim_* counters for elision and
@@ -79,13 +77,11 @@ go run ./cmd/ecobench -mode table1 -p 1 -timeout "$T1_TIMEOUT" \
 	-json BENCH_table1_p1.json >/dev/null
 go run ./cmd/ecobench -mode table1 -p 4 -timeout "$T1_TIMEOUT" \
 	-json BENCH_table1_p4.json >/dev/null
-go run ./cmd/ecobench -mode table1 -p 1 -prep -timeout "$T1_TIMEOUT" \
-	-json BENCH_table1_prep.json >/dev/null
 go run ./cmd/ecobench -mode table1 -p 1 -sim -timeout "$T1_TIMEOUT" \
 	-json BENCH_table1_sim.json >/dev/null
 go run ./cmd/ecobench -mode table1 -p 1 -rewrite -timeout "$T1_TIMEOUT" \
 	-json BENCH_table1_rewrite.json >/dev/null
-echo "wrote BENCH_table1_p1.json, BENCH_table1_p4.json, BENCH_table1_prep.json, BENCH_table1_sim.json and BENCH_table1_rewrite.json"
+echo "wrote BENCH_table1_p1.json, BENCH_table1_p4.json, BENCH_table1_sim.json and BENCH_table1_rewrite.json"
 
 # Persistence: the suite twice in two separate processes sharing only
 # a solve-cache file — the restart-warm run (experiment E14) is what
