@@ -1,0 +1,53 @@
+package bench
+
+import (
+	"testing"
+
+	"ecopatch/internal/eco"
+	"ecopatch/internal/sat"
+)
+
+// TestSolverStatsPinned pins the folded SAT-kernel counters of three
+// serial solves. The engine drops each stage's finished solvers and
+// keeps only their summed counters, and the exact search's hitting
+// sets decide which SAT calls it makes; both must leave the totals
+// exactly where the per-solver sum over the whole run put them.
+// unit5 runs the cofactor feasibility check, unit14 the 2QBF one,
+// unit13 the exact support search.
+func TestSolverStatsPinned(t *testing.T) {
+	for _, c := range []struct {
+		unit, mode string
+		want       sat.Stats
+	}{
+		{"unit5", ModeMinAssume, sat.Stats{Starts: 139, Decisions: 7268, Propagations: 102843,
+			Conflicts: 927, SolveCalls: 134, Learnts: 926, Restarts: 5, LBDSum: 4980}},
+		{"unit14", ModeMinAssume, sat.Stats{Starts: 773, Decisions: 79306, Propagations: 1286329,
+			Conflicts: 3012, SolveCalls: 766, Learnts: 3011, Restarts: 7, LBDSum: 13332}},
+		{"unit13", ModeExact, sat.Stats{Starts: 170, Decisions: 11447, Propagations: 102809,
+			Conflicts: 297, SolveCalls: 170, Learnts: 296, LBDSum: 1259}},
+	} {
+		cfg, err := ConfigByName(1, c.unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Table1Options(c.mode, StructuralUnits[cfg.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Parallelism = 1
+		res, err := eco.Solve(inst, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified {
+			t.Fatalf("%s/%s: not verified", c.unit, c.mode)
+		}
+		if res.Stats.Solver != c.want {
+			t.Errorf("%s/%s: solver stats\n got %+v\nwant %+v", c.unit, c.mode, res.Stats.Solver, c.want)
+		}
+	}
+}

@@ -12,10 +12,16 @@ import (
 // is safe to call concurrently with interruptAll; a solver registered
 // after the group was stopped is interrupted immediately, closing the
 // race between a firing timer and a freshly created solver.
+//
+// A stage whose solvers are finished when it returns brackets itself
+// with mark and release: release folds those solvers' counters into
+// released and drops them, so their clause databases do not stay
+// reachable for the rest of the run.
 type solverGroup struct {
-	mu      sync.Mutex
-	solvers []*sat.Solver
-	stopped bool
+	mu       sync.Mutex
+	solvers  []*sat.Solver
+	released sat.Stats // counters of the solvers dropped by release
+	stopped  bool
 }
 
 // add registers a solver with the group.
@@ -28,13 +34,34 @@ func (g *solverGroup) add(s *sat.Solver) {
 	g.mu.Unlock()
 }
 
+// mark returns the position a later release cuts the group back to.
+func (g *solverGroup) mark() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.solvers)
+}
+
+// release folds the counters of every solver registered since mark m
+// into the running total and drops those solvers. Call only once they
+// have stopped solving for good: a released solver is no longer
+// interrupted, and later Stats changes on it are not counted.
+func (g *solverGroup) release(m int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, s := range g.solvers[m:] {
+		g.released.Add(s.Stats)
+	}
+	clear(g.solvers[m:])
+	g.solvers = g.solvers[:m]
+}
+
 // stats sums the kernel counters of every solver created during the
-// run. Call only after solving is done (solvers mutate their own
-// Stats while searching).
+// run, released ones included. Call only after solving is done
+// (solvers mutate their own Stats while searching).
 func (g *solverGroup) stats() sat.Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var total sat.Stats
+	total := g.released
 	for _, s := range g.solvers {
 		total.Add(s.Stats)
 	}

@@ -108,12 +108,12 @@ endmodule`, nil)
 	if err := e.rectifyAll(false); err != nil {
 		t.Fatal(err)
 	}
-	before := len(e.group.solvers)
+	before := e.group.stats().SolveCalls
 	ok, err := e.verify()
 	if err != nil || !ok {
 		t.Fatalf("uninterrupted verification: ok=%v err=%v", ok, err)
 	}
-	if len(e.group.solvers) == before {
+	if e.group.stats().SolveCalls == before {
 		t.Fatal("verification settled structurally; the test needs a miter that reaches the sweep")
 	}
 	e.group.interruptAll()

@@ -32,6 +32,7 @@ func (e *engine) selfPIMap() []aig.Lit {
 // treated as "assume feasible" — the structural path plus final
 // verification covers the optimistic guess.
 func (e *engine) checkFeasible() (bool, error) {
+	defer e.group.release(e.group.mark())
 	k := len(e.tPIs)
 	if e.opt.UseQBF || k > e.opt.MaxQuantExpand {
 		// Window cache: the outcome — including the countermoves that

@@ -54,6 +54,7 @@ func (e *engine) rectifyAll(forceFullQuant bool) error {
 // solve whose SAT phase was interrupted mid-window must not freeze
 // its degraded fallback into the cache.
 func (e *engine) rectifyOne(i int) error {
+	defer e.group.release(e.group.mark())
 	m0, m1 := e.cofactorMiters(i)
 	key := e.windowKey(i, m0, m1)
 	if key != nil {

@@ -176,8 +176,8 @@ func TestMinimizeBudgetPropagates(t *testing.T) {
 func TestGreedyAndExactHittingSets(t *testing.T) {
 	costs := []int64{5, 1, 1, 10, 2}
 	cores := [][]int{{0, 1}, {0, 2}, {3, 4}}
-	sel := greedyHittingSet(cores, costs)
-	if len(sel) == 0 {
+	sel, ok := greedyHittingSet(cores, costs)
+	if !ok || len(sel) == 0 {
 		t.Fatal("greedy returned nothing")
 	}
 	covered := func(sel []int) bool {
@@ -199,7 +199,10 @@ func TestGreedyAndExactHittingSets(t *testing.T) {
 	if !covered(sel) {
 		t.Fatalf("greedy set %v does not cover", sel)
 	}
-	exact := minHittingSet(cores, costs, farFuture())
+	exact, ok := minHittingSet(cores, costs, 0, farFuture())
+	if !ok {
+		t.Fatal("exact search found no hitting set")
+	}
 	if !covered(exact) {
 		t.Fatalf("exact set %v does not cover", exact)
 	}
@@ -235,7 +238,7 @@ func TestMinHittingSetRandomOptimal(t *testing.T) {
 				}
 			}
 		}
-		got := minHittingSet(cores, costs, farFuture())
+		got, _ := minHittingSet(cores, costs, 0, farFuture())
 		var gotCost int64
 		for _, j := range got {
 			gotCost = gotCost + costs[j]

@@ -14,6 +14,7 @@ import (
 // checks combinational equivalence with the specification over every
 // output (task (4) of the paper's ECO decomposition).
 func (e *engine) verify() (bool, error) {
+	defer e.group.release(e.group.mark())
 	start := time.Now()
 	defer func() { e.stats.VerifyTime += time.Since(start) }()
 	piMap := e.selfPIMap()

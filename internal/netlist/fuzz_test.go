@@ -1,12 +1,17 @@
 package netlist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzParse checks that the parser never panics and that everything
-// it accepts survives a write/re-parse round trip.
+// FuzzParse checks that the parser never panics, that it accepts the
+// same inputs as the reference parser with equal netlists, and that
+// everything it accepts survives a write/re-parse round trip. On an
+// input that lexes cleanly both parsers must report the same error;
+// otherwise the streaming parser may report a syntax error that
+// precedes the lexical one.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		sampleModule,
@@ -18,14 +23,30 @@ func FuzzParse(f *testing.F) {
 		"module m (a, f);\ninput a;\noutput f;\nand (f, t_0, a);\nendmodule",
 		"garbage",
 		"module",
+		"module m (); endmodule @",
+		"module m (); endmodule /* open",
+		"module m (a); input a b; @ endmodule",
+		"module m (a, f);\ninput a;\noutput f;\nassign f a;\nendmodule",
+		"module m (a, f);\ninput a;\noutput f;\nand g1 (f a);\nendmodule",
+		"module m (a, f);\ninput a;\noutput f;\nbuf (f);\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := ParseString(src)
+		ref, refErr := parseStringRef(src)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("parsers disagree on %q: streaming %v, reference %v", src, err, refErr)
+		}
 		if err != nil {
+			if _, lexErr := refTokenize(src); lexErr == nil && err.Error() != refErr.Error() {
+				t.Fatalf("errors differ on %q: streaming %v, reference %v", src, err, refErr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(n, ref) {
+			t.Fatalf("netlists differ on %q:\nstreaming %+v\nreference %+v", src, n, ref)
 		}
 		text := n.String()
 		n2, err := ParseString(text)

@@ -102,6 +102,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorOrder pins which error the streaming parser reports:
+// the first one it reaches, so a syntax error ahead of a lexical one
+// wins, and a lexical error after endmodule still rejects the input.
+func TestParseErrorOrder(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"module m (a);\nfoo a;\n@\nendmodule", `netlist: line 2: unknown construct "foo"`},
+		{"module m (a);\n@ foo a;\nendmodule", `netlist: line 2: unexpected character '@'`},
+		{"module m ();\nendmodule\n/* open", "netlist: line 3: unterminated block comment"},
+	}
+	for _, c := range cases {
+		_, err := ParseString(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: got error %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
 func TestCycleDetection(t *testing.T) {
 	src := `
 module m (a, f);

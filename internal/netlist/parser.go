@@ -15,13 +15,13 @@ func Parse(r io.Reader) (*Netlist, error) {
 	return ParseString(string(data))
 }
 
-// ParseString parses a module held in a string.
+// ParseString parses a module held in a string. Tokens are lexed on
+// demand, so the parser holds one token at a time, not the whole
+// token stream. A lexical error is reported when the parser reaches
+// it: a syntax error earlier in the input is reported first. Text
+// after endmodule must still lex.
 func ParseString(src string) (*Netlist, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: lexer{src: src, line: 1}}
 	return p.parseModule()
 }
 
@@ -30,50 +30,70 @@ type token struct {
 	line int
 }
 
-func tokenize(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	for i < len(src) {
-		c := src[i]
+// lexer splits the source into tokens one at a time. A lexical error
+// is sticky: every later call returns it again.
+type lexer struct {
+	src      string
+	i        int
+	line     int
+	lastLine int // line of the last token returned, 0 before the first
+	err      error
+}
+
+// next returns the next token; ok is false at the end of the input.
+func (lx *lexer) next() (t token, ok bool, err error) {
+	if lx.err != nil {
+		return token{}, false, lx.err
+	}
+	src := lx.src
+	for lx.i < len(src) {
+		c := src[lx.i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			lx.line++
+			lx.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			lx.i++
+		case c == '/' && lx.i+1 < len(src) && src[lx.i+1] == '/':
+			for lx.i < len(src) && src[lx.i] != '\n' {
+				lx.i++
 			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '*':
-			i += 2
-			for i+1 < len(src) && !(src[i] == '*' && src[i+1] == '/') {
-				if src[i] == '\n' {
-					line++
+		case c == '/' && lx.i+1 < len(src) && src[lx.i+1] == '*':
+			lx.i += 2
+			for lx.i+1 < len(src) && !(src[lx.i] == '*' && src[lx.i+1] == '/') {
+				if src[lx.i] == '\n' {
+					lx.line++
 				}
-				i++
+				lx.i++
 			}
-			if i+1 >= len(src) {
-				return nil, fmt.Errorf("netlist: line %d: unterminated block comment", line)
+			if lx.i+1 >= len(src) {
+				lx.err = fmt.Errorf("netlist: line %d: unterminated block comment", lx.line)
+				return token{}, false, lx.err
 			}
-			i += 2
+			lx.i += 2
 		case c == '(' || c == ')' || c == ',' || c == ';' || c == '=':
-			toks = append(toks, token{string(c), line})
-			i++
+			lx.i++
+			return lx.emit(src[lx.i-1 : lx.i]), true, nil
 		default:
 			if !isIdentChar(rune(c)) {
-				return nil, fmt.Errorf("netlist: line %d: unexpected character %q", line, c)
+				lx.err = fmt.Errorf("netlist: line %d: unexpected character %q", lx.line, c)
+				return token{}, false, lx.err
 			}
-			j := i
+			j := lx.i
 			for j < len(src) && isIdentChar(rune(src[j])) {
 				j++
 			}
-			toks = append(toks, token{src[i:j], line})
-			i = j
+			t := lx.emit(src[lx.i:j])
+			lx.i = j
+			return t, true, nil
 		}
 	}
-	return toks, nil
+	return token{}, false, nil
+}
+
+func (lx *lexer) emit(text string) token {
+	lx.lastLine = lx.line
+	return token{text, lx.line}
 }
 
 func isIdentChar(c rune) bool {
@@ -81,36 +101,54 @@ func isIdentChar(c rune) bool {
 		c == '_' || c == '\'' || c == '[' || c == ']' || c == '\\' || c == '.' || c == '$'
 }
 
+// parser reads tokens from the lexer with one token of pushback: tok
+// is the token after the last one consumed when held is set.
 type parser struct {
-	toks []token
-	pos  int
+	lx   lexer
+	tok  token
+	held bool
 }
 
+// errf reports a syntax error at the line of the next unread token,
+// or of the last token at the end of the input. A lexical error met
+// while looking for that line is returned instead.
 func (p *parser) errf(format string, args ...any) error {
-	line := 0
-	if p.pos < len(p.toks) {
-		line = p.toks[p.pos].line
-	} else if len(p.toks) > 0 {
-		line = p.toks[len(p.toks)-1].line
+	if _, _, err := p.peek(); err != nil {
+		return err
+	}
+	line := p.lx.lastLine
+	if p.held {
+		line = p.tok.line
 	}
 	return fmt.Errorf("netlist: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) peek() (string, bool) {
-	if p.pos >= len(p.toks) {
-		return "", false
+// peek returns the next token without consuming it; ok is false at
+// the end of the input.
+func (p *parser) peek() (t string, ok bool, err error) {
+	if !p.held {
+		p.tok, p.held, err = p.lx.next()
+		if err != nil {
+			return "", false, err
+		}
 	}
-	return p.toks[p.pos].text, true
+	return p.tok.text, p.held, nil
 }
 
 func (p *parser) next() (string, error) {
-	t, ok := p.peek()
+	t, ok, err := p.peek()
+	if err != nil {
+		return "", err
+	}
 	if !ok {
 		return "", p.errf("unexpected end of input")
 	}
-	p.pos++
+	p.held = false
 	return t, nil
 }
+
+// unread pushes back the token next just returned.
+func (p *parser) unread() { p.held = true }
 
 func (p *parser) expect(want string) error {
 	t, err := p.next()
@@ -118,7 +156,7 @@ func (p *parser) expect(want string) error {
 		return err
 	}
 	if t != want {
-		p.pos--
+		p.unread()
 		return p.errf("expected %q, found %q", want, t)
 	}
 	return nil
@@ -143,7 +181,7 @@ func (p *parser) parseIdentList() ([]string, error) {
 		case ";":
 			return ids, nil
 		default:
-			p.pos--
+			p.unread()
 			return nil, p.errf("expected ',' or ';', found %q", t)
 		}
 	}
@@ -182,6 +220,16 @@ func (p *parser) parseModule() (*Netlist, error) {
 		}
 		switch t {
 		case "endmodule":
+			// Whatever follows is ignored, but it must lex.
+			for {
+				_, ok, err := p.lx.next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
+			}
 			if err := n.Validate(); err != nil {
 				return nil, err
 			}
@@ -213,7 +261,7 @@ func (p *parser) parseModule() (*Netlist, error) {
 		default:
 			kind, ok := kindByName[t]
 			if !ok {
-				p.pos--
+				p.unread()
 				return nil, p.errf("unknown construct %q", t)
 			}
 			g, err := p.parseGate(kind)
@@ -253,7 +301,7 @@ func (p *parser) parseGate(kind GateKind) (Gate, error) {
 			break
 		}
 		if t != "," {
-			p.pos--
+			p.unread()
 			return g, p.errf("expected ',' or ')', found %q", t)
 		}
 	}
@@ -277,8 +325,8 @@ func (p *parser) parseAssign() (Gate, error) {
 		return Gate{}, err
 	}
 	if err := p.expect("="); err != nil {
-		// '=' is not in the token alphabet above; accept the merged
-		// token form "=" only if tokenize produced it. Report cleanly.
+		// Any other token (or the end of the input) where '=' belongs
+		// gets one message for the whole statement form.
 		return Gate{}, p.errf("assign statements must be 'assign out = in;'")
 	}
 	in, err := p.next()

@@ -19,8 +19,8 @@ go test -race -short -count=1 ./...
 
 # Optional, non-gating: microbenchmark sweep (scripts/bench.sh writes
 # BENCH_sat.txt / BENCH_sat.json) and short fuzz smokes over the
-# persistence decoder, simulation, rewriting and the equivalence
-# checker. Enable with BENCH=1.
+# persistence decoder, simulation, rewriting, the equivalence checker
+# and the exact search's hitting-set enumerator. Enable with BENCH=1.
 if [ "${BENCH:-0}" = "1" ]; then
 	./scripts/bench.sh || echo "bench.sh failed (non-gating)"
 	go test -run FuzzPersistDecode -fuzz FuzzPersistDecode \
@@ -35,6 +35,9 @@ if [ "${BENCH:-0}" = "1" ]; then
 	go test -run FuzzCheckLits -fuzz FuzzCheckLits \
 		-fuzztime=10s ./internal/cec \
 		|| echo "cec fuzz smoke failed (non-gating)"
+	go test -run FuzzMinHittingSet -fuzz FuzzMinHittingSet \
+		-fuzztime=10s ./internal/eco \
+		|| echo "hitting-set fuzz smoke failed (non-gating)"
 fi
 
 # Optional, gating when enabled: end-to-end ecod daemon smoke tests —
