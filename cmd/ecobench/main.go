@@ -18,7 +18,7 @@
 //	ecobench [-mode table1|copies|mincalls|patchcmp] [-scale N]
 //	         [-unit unitK] [-units unitK,unitL,...]
 //	         [-modes baseline,minassume,exact]
-//	         [-j N] [-p N] [-timeout 30s] [-cache N] [-cache-file f] [-warm]
+//	         [-j N] [-p N] [-timeout 30s] [-cache N] [-warm]
 //	         [-sim] [-rewrite] [-json report.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -35,7 +35,6 @@ import (
 
 	"ecopatch/internal/atomicio"
 	"ecopatch/internal/bench"
-	"ecopatch/internal/cache"
 )
 
 func main() {
@@ -55,7 +54,6 @@ func realMain() int {
 		par        = flag.Int("p", 1, "intra-solve parallelism per cell (SAT portfolio + sharded verification); 1 = serial deterministic engine")
 		timeout    = flag.Duration("timeout", 0, "per-(unit,mode) deadline for table1 cells (0 = none)")
 		cacheEnt   = flag.Int("cache", 0, "attach a shared solve/window cache of N entries to the table1 sweep (0 = off)")
-		cacheFile  = flag.String("cache-file", "", "persist the solve cache to this file: load it before the table1 sweep, save it after (implies -cache when unset)")
 		warm       = flag.Bool("warm", false, "run table1 twice against one cache (cold then warm) and report the speedup")
 		sim        = flag.Bool("sim", false, "enable the bit-parallel simulation layer (pattern-bank SAT-call elision + divisor pruning)")
 		rewrite    = flag.Bool("rewrite", false, "enable DAG-aware rewriting of every miter before it reaches the solvers")
@@ -106,7 +104,7 @@ func realMain() int {
 				run   func() error
 			}{
 				{"Table 1", func() error {
-					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *cacheFile, *warm, *sim, *rewrite, *jsonPath)
+					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *sim, *rewrite, *jsonPath)
 				}},
 				{"E5: minimize_assumptions SAT calls (§3.4.1)", func() error { return bench.RunMinCalls(os.Stdout) }},
 				{"E6: miter copies for structural multi-target (§3.6.2)", func() error { return bench.RunCopies(*scale, os.Stdout) }},
@@ -119,7 +117,7 @@ func realMain() int {
 				fmt.Println()
 			}
 		case "table1":
-			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *cacheFile, *warm, *sim, *rewrite, *jsonPath)
+			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *sim, *rewrite, *jsonPath)
 		case "copies":
 			err = bench.RunCopies(*scale, os.Stdout)
 		case "mincalls":
@@ -180,27 +178,13 @@ func parseUnits(unit, units string) []string {
 	return out
 }
 
-func runTable1(scale int, units []string, modes []string, jobs, par int, timeout time.Duration, cacheEnt int, cacheFile string, warm, sim, rewrite bool, jsonPath string) error {
+func runTable1(scale int, units []string, modes []string, jobs, par int, timeout time.Duration, cacheEnt int, warm, sim, rewrite bool, jsonPath string) error {
 	opts := bench.RunOptions{
 		Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout,
 		Parallelism: par, CacheEntries: cacheEnt, Sim: sim,
 		Rewrite: rewrite,
 	}
 	opts.Units = units
-	if cacheFile != "" {
-		// Persistent cache: build the shared cache here so it can be
-		// warmed from disk before the sweep and snapshotted after.
-		if opts.CacheEntries <= 0 {
-			opts.CacheEntries = 4096
-		}
-		opts.Cache = cache.New(opts.CacheEntries)
-		restored, skipped, err := bench.LoadCacheFile(cacheFile, opts.Cache)
-		if err != nil {
-			return fmt.Errorf("-cache-file load: %w", err)
-		}
-		fmt.Printf("cache-file: restored %d entries from %s (%d skipped)\n",
-			restored, cacheFile, skipped)
-	}
 	var rep bench.JSONReport
 	if warm {
 		run, err := bench.RunTable1Warm(opts, os.Stdout)
@@ -214,13 +198,6 @@ func runTable1(scale int, units []string, modes []string, jobs, par int, timeout
 			return err
 		}
 		rep = bench.NewJSONReport(opts, modes, rows)
-	}
-	if cacheFile != "" {
-		saved, err := bench.SaveCacheFile(cacheFile, opts.Cache)
-		if err != nil {
-			return fmt.Errorf("-cache-file save: %w", err)
-		}
-		fmt.Printf("cache-file: saved %d entries to %s\n", saved, cacheFile)
 	}
 	if jsonPath == "" {
 		return nil

@@ -100,7 +100,7 @@ func cmdServe(args []string) error {
 		defTimeout = fs.Duration("default-timeout", 0, "deadline for jobs that set none (0 = unbounded)")
 		maxTimeout = fs.Duration("max-timeout", 0, "clamp on per-job deadlines (0 = no clamp)")
 		resultsDir = fs.String("results-dir", "", "persist finished job results as <dir>/<id>.json")
-		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay solve cache and job history from this directory on boot")
+		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay job history (and warm the result cache) from this directory on boot")
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
 		cacheEnt   = fs.Int("cache-entries", 256, "content-addressed result cache + shared solve cache size (0 disables)")
 		sim        = fs.Bool("sim", false, "enable the bit-parallel simulation layer for jobs that do not set it")

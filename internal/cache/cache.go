@@ -240,19 +240,6 @@ type solveEntry struct {
 // SolveCache memoizes SAT verdicts of captured formulas plus
 // assumptions. Safe for concurrent use.
 type SolveCache struct {
-	// OnInsert, when non-nil, observes every insertion of a NEW entry
-	// (duplicate re-inserts do not fire it), called after the cache
-	// lock is released. The persist layer hooks it to append the entry
-	// to the on-disk log. Must be set before the cache sees concurrent
-	// use; the arguments are owned by the cache and must be treated as
-	// read-only.
-	OnInsert func(f *cnf.Formula, assumps []sat.Lit, v Verdict)
-	// OnEvict, when non-nil, observes FIFO evictions (n entries
-	// dropped), called after the cache lock is released. The persist
-	// layer hooks it for garbage accounting. Same set-before-use rule
-	// as OnInsert.
-	OnEvict func(n int)
-
 	mu         sync.Mutex
 	maxEntries int
 	maxWords   int64
@@ -341,19 +328,11 @@ func (c *SolveCache) Insert(f *cnf.Formula, assumps []sat.Lit, v Verdict) {
 	c.buckets[h] = append(c.buckets[h], e)
 	c.fifo = append(c.fifo, e)
 	c.words += entryWords(f, assumps, v)
-	evicted := c.evictLocked()
-	onInsert, onEvict := c.OnInsert, c.OnEvict
+	c.evictLocked()
 	c.mu.Unlock()
-	if onInsert != nil {
-		onInsert(f, assumps, v)
-	}
-	if evicted > 0 && onEvict != nil {
-		onEvict(evicted)
-	}
 }
 
-func (c *SolveCache) evictLocked() int {
-	evicted := 0
+func (c *SolveCache) evictLocked() {
 	for len(c.fifo)-c.head > c.maxEntries || c.words > c.maxWords {
 		if c.head >= len(c.fifo) {
 			break
@@ -376,30 +355,10 @@ func (c *SolveCache) evictLocked() int {
 			c.buckets[e.hash] = b
 		}
 		c.evictions++
-		evicted++
 	}
 	if c.head > 64 && c.head*2 > len(c.fifo) {
 		c.fifo = append([]*solveEntry(nil), c.fifo[c.head:]...)
 		c.head = 0
-	}
-	return evicted
-}
-
-// Range calls fn for every live entry in FIFO order, stopping early
-// when fn returns false. fn runs under the cache lock: it must not
-// call back into the cache, and must treat the arguments as
-// read-only. The persist layer uses it to snapshot the cache for
-// compaction and save-to-file.
-func (c *SolveCache) Range(fn func(f *cnf.Formula, assumps []sat.Lit, v Verdict) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.fifo[c.head:] {
-		if e.dead {
-			continue
-		}
-		if !fn(e.f, e.assumps, e.v) {
-			return
-		}
 	}
 }
 

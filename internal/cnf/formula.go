@@ -100,24 +100,6 @@ func (f *Formula) Words() int {
 	return (len(f.lits)+1)/2 + (len(f.ends)+1)/2 + 1
 }
 
-// Raw exposes the capture's backing arrays — variable count, the
-// flattened clause literals, and the clause-end prefix sums — for
-// serialization (the persist layer writes them verbatim). The slices
-// are the formula's own storage: callers must treat them as
-// read-only.
-func (f *Formula) Raw() (nVars int, lits []sat.Lit, ends []int32) {
-	return f.nVars, f.lits, f.ends
-}
-
-// FromRaw rebuilds a capture from serialized parts. The formula takes
-// ownership of both slices. Callers are responsible for structural
-// validity (ends non-decreasing, final end == len(lits), every
-// literal's variable < nVars) — the persist decoder checks this
-// before constructing.
-func FromRaw(nVars int, lits []sat.Lit, ends []int32) *Formula {
-	return &Formula{nVars: nVars, lits: lits, ends: ends}
-}
-
 // LoadInto replays the captured formula into s: NumVars fresh
 // variables (s must be empty, or at least aligned so that the next
 // variable is Var(0) of the capture) followed by every clause in

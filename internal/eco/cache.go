@@ -186,8 +186,8 @@ func (e *engine) feasKey() []uint64 {
 	buf = append(buf, feasKeyVersion, uint64(e.opt.ConfBudget))
 	// The verdict is rewrite-independent but the cached countermoves
 	// are read off the graph the QBF solver saw; keep modes apart (the
-	// marker is appended only when on, so rewrite-off keys — and any
-	// persisted entries for them — are unchanged).
+	// marker is appended only when on, so rewrite-off keys are
+	// unchanged).
 	if e.opt.Rewrite {
 		buf = append(buf, ^uint64(0x8e817e))
 	}

@@ -1,8 +1,8 @@
 // Package persist provides the crash-safe on-disk durability layer
-// behind the solve caches and the ecod job history: an append-only,
-// CRC-checked segment log with torn-tail-tolerant recovery, batched
-// fsync group commit, and background compaction once the garbage
-// ratio passes a threshold.
+// behind the ecod job history: an append-only, CRC-checked segment
+// log with torn-tail-tolerant recovery, batched fsync group commit,
+// and background compaction once the garbage ratio passes a
+// threshold.
 //
 // Records are length-prefixed and CRC32C-checked; the recovery scan
 // replays every intact record and stops at the first frame that fails
@@ -12,14 +12,13 @@
 // all — a half-written or bit-flipped record is never replayed.
 //
 // The log is record-type-agnostic: callers frame their own payloads
-// (the solve-cache codec lives in solve.go; the daemon's job records
-// are JSON, framed in internal/server). Compaction asks the owner for
-// a snapshot of the live state and rewrites it into a single fresh
-// segment (written with the internal/atomicio temp+rename+dir-fsync
-// discipline), then deletes the superseded segments — a crash at any
-// point leaves a replayable set, because the snapshot sorts after the
-// segments it replaces and replay is idempotent by construction on
-// both record families.
+// (the daemon's job records are JSON, framed in internal/server).
+// Compaction asks the owner for a snapshot of the live state and
+// rewrites it into a single fresh segment (written with the
+// internal/atomicio temp+rename+dir-fsync discipline), then deletes
+// the superseded segments — a crash at any point leaves a replayable
+// set, because the snapshot sorts after the segments it replaces and
+// job-record replay is idempotent by construction.
 package persist
 
 import (
@@ -44,8 +43,10 @@ type RecordType uint8
 
 // The record families the stack persists.
 const (
-	// RecSolve is one solve-cache entry: captured formula +
-	// assumptions + verdict/model words (codec in solve.go).
+	// RecSolve is retired: it held one solve-cache entry, and the
+	// solve cache is no longer persisted. Old data dirs may still
+	// hold such records; owners skip them and compaction drops them.
+	// The value stays reserved so type 1 is never reused.
 	RecSolve RecordType = 1
 	// RecJob is one ecod job transition record (JSON payload, framed
 	// by internal/server).
@@ -273,7 +274,7 @@ func (l *Log) replaySegment(seq uint64, active bool, apply func(RecordType, []by
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	n, valid, torn, err := ScanRecords(f, apply)
+	n, valid, torn, err := scanRecords(f, apply)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("persist: replay %s: %w", segName(seq), err)
@@ -293,13 +294,12 @@ func (l *Log) replaySegment(seq uint64, active bool, apply func(RecordType, []by
 	return nil
 }
 
-// ScanRecords reads length-prefixed CRC-checked records from r until
+// scanRecords reads length-prefixed CRC-checked records from r until
 // EOF or the first bad frame, calling apply for each intact record.
 // It returns the record count, the byte offset just past the last
 // intact record, and whether trailing bytes were dropped as a torn
 // tail. Only an I/O error from r (not corruption) is returned as err.
-// Exported for the single-file cache helpers and the fuzz harness.
-func ScanRecords(r io.Reader, apply func(typ RecordType, payload []byte)) (n, valid int64, torn bool, err error) {
+func scanRecords(r io.Reader, apply func(typ RecordType, payload []byte)) (n, valid int64, torn bool, err error) {
 	var hdr [headerBytes]byte
 	var body []byte
 	for {
@@ -358,8 +358,9 @@ func (l *Log) Append(typ RecordType, payload []byte) error {
 // AppendAsync writes one record without waiting for durability; the
 // background flusher fsyncs it within FlushInterval (or sooner, when
 // a durable append batches it along). Losing the tail of async
-// records in a crash is the caller's accepted risk — the solve cache
-// uses this (a lost cache entry just re-solves).
+// records in a crash is the caller's accepted risk — the daemon uses
+// this for non-terminal job transitions (a job whose running record is
+// lost recovers as failed, as it would anyway).
 func (l *Log) AppendAsync(typ RecordType, payload []byte) error {
 	return l.append(typ, payload, false)
 }
@@ -513,8 +514,8 @@ func (l *Log) flushLoop() {
 func (l *Log) SetSnapshot(fn func(w *SnapshotWriter) error) { l.snapshot = fn }
 
 // SetLive declares how many of the on-disk records are live after
-// replay (the rest is garbage from superseded transitions and evicted
-// entries). Called once by the owner when its replay bookkeeping is
+// replay (the rest is garbage: superseded transitions, evicted jobs,
+// and records of retired types). Called once by the owner when its replay bookkeeping is
 // done.
 func (l *Log) SetLive(live int64) {
 	l.mu.Lock()
@@ -526,7 +527,7 @@ func (l *Log) SetLive(live int64) {
 	l.mu.Unlock()
 }
 
-// MarkGarbage declares n on-disk records dead: a cache eviction, or a
+// MarkGarbage declares n on-disk records dead: an evicted job, or a
 // job transition superseded by a newer record. Feeds the compaction
 // trigger.
 func (l *Log) MarkGarbage(n int64) {
@@ -589,8 +590,8 @@ func (l *Log) CompactNow() error {
 //
 // Replay order makes every crash window safe: the snapshot sorts
 // after the segments it replaces and before the appends that followed
-// it, and records are idempotent (solve entries first-wins on equal
-// content, job records last-wins per ID). A crash before the rename
+// it, and job records are idempotent (most advanced state wins per
+// ID). A crash before the rename
 // leaves the old segments plus the tail; after the rename, the
 // superseded segments merely replay first until the deletes finish.
 func (l *Log) compact() error {

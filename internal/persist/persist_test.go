@@ -8,10 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ecopatch/internal/cache"
-	"ecopatch/internal/cnf"
-	"ecopatch/internal/sat"
 )
 
 // testOpts builds small-segment, no-fsync options for fast tests.
@@ -182,7 +178,7 @@ func TestCrashPrefixAlwaysReplayable(t *testing.T) {
 	}
 	for cut := 0; cut <= len(full); cut++ {
 		var n int
-		_, _, _, err := ScanRecords(bytes.NewReader(full[:cut]), func(typ RecordType, payload []byte) {
+		_, _, _, err := scanRecords(bytes.NewReader(full[:cut]), func(typ RecordType, payload []byte) {
 			if want := fmt.Sprintf("payload-%d", n); string(payload) != want {
 				t.Fatalf("cut %d: record %d = %q, want %q", cut, n, payload, want)
 			}
@@ -340,127 +336,6 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	l.Close()
 	if st := l.Stats(); st.Compactions == 0 {
 		t.Fatalf("background compaction never triggered: %+v", st)
-	}
-}
-
-func mkFormula(t *testing.T, clauses [][]int, nVars int) *cnf.Formula {
-	t.Helper()
-	f := &cnf.Formula{}
-	for i := 0; i < nVars; i++ {
-		f.NewVar()
-	}
-	for _, cl := range clauses {
-		lits := make([]sat.Lit, len(cl))
-		for i, v := range cl {
-			if v > 0 {
-				lits[i] = sat.MkLit(sat.Var(v-1), false)
-			} else {
-				lits[i] = sat.MkLit(sat.Var(-v-1), true)
-			}
-		}
-		f.AddClause(lits...)
-	}
-	return f
-}
-
-func TestSolveCodecRoundtrip(t *testing.T) {
-	f := mkFormula(t, [][]int{{1, 2}, {-1, 3}, {-2, -3}}, 3)
-	assumps := []sat.Lit{sat.MkLit(0, false)}
-	for _, v := range []cache.Verdict{
-		{Status: sat.Sat, Model: []bool{true, false, true}},
-		{Status: sat.Unsat},
-	} {
-		b := EncodeSolve(f, assumps, v)
-		if b == nil {
-			t.Fatal("EncodeSolve returned nil for a cacheable verdict")
-		}
-		f2, a2, v2, err := DecodeSolve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !f2.Equal(f) {
-			t.Fatal("formula did not roundtrip")
-		}
-		if len(a2) != len(assumps) || a2[0] != assumps[0] {
-			t.Fatalf("assumps = %v, want %v", a2, assumps)
-		}
-		if v2.Status != v.Status {
-			t.Fatalf("status = %v, want %v", v2.Status, v.Status)
-		}
-		for i := range v.Model {
-			if v2.Model[i] != v.Model[i] {
-				t.Fatalf("model[%d] mismatch", i)
-			}
-		}
-	}
-	if EncodeSolve(f, nil, cache.Verdict{Status: sat.Unknown}) != nil {
-		t.Fatal("Unknown verdict must never encode")
-	}
-}
-
-func TestSolveDecodeRejectsCorruption(t *testing.T) {
-	f := mkFormula(t, [][]int{{1, -2}, {2}}, 2)
-	good := EncodeSolve(f, nil, cache.Verdict{Status: sat.Sat, Model: []bool{true, true}})
-	if _, _, _, err := DecodeSolve(good); err != nil {
-		t.Fatal(err)
-	}
-	// Any truncation and any single-byte flip must fail decode or
-	// produce a structurally valid entry — never panic. Most flips are
-	// caught; flips inside the model bitset legitimately decode.
-	for cut := 0; cut < len(good); cut++ {
-		DecodeSolve(good[:cut])
-	}
-	for i := 0; i < len(good); i++ {
-		mut := append([]byte(nil), good...)
-		mut[i] ^= 0x10
-		fr, _, v, err := DecodeSolve(mut)
-		if err != nil {
-			continue
-		}
-		// Whatever decodes must uphold the cache invariants.
-		if v.Status == sat.Sat && len(v.Model) < fr.NumVars() {
-			t.Fatalf("flip at %d decoded an entry with a short model", i)
-		}
-	}
-}
-
-func TestSolveCacheFileRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.bin")
-	src := cache.NewSolveCache(16)
-	f1 := mkFormula(t, [][]int{{1, 2}}, 2)
-	f2 := mkFormula(t, [][]int{{-1}, {1}}, 1)
-	src.Insert(f1, nil, cache.Verdict{Status: sat.Sat, Model: []bool{true, false}})
-	src.Insert(f2, nil, cache.Verdict{Status: sat.Unsat})
-
-	n, err := SaveSolveCacheFile(path, src)
-	if err != nil || n != 2 {
-		t.Fatalf("save: n=%d err=%v", n, err)
-	}
-	dst := cache.NewSolveCache(16)
-	restored, skipped, err := LoadSolveCacheFile(path, dst)
-	if err != nil || restored != 2 || skipped != 0 {
-		t.Fatalf("load: restored=%d skipped=%d err=%v", restored, skipped, err)
-	}
-	v, ok, _ := dst.Lookup(f1, nil)
-	if !ok || v.Status != sat.Sat || !v.Model[0] || v.Model[1] {
-		t.Fatalf("f1 lookup after load: ok=%v v=%+v", ok, v)
-	}
-	if v, ok, _ := dst.Lookup(f2, nil); !ok || v.Status != sat.Unsat {
-		t.Fatalf("f2 lookup after load: ok=%v v=%+v", ok, v)
-	}
-
-	// Missing file: empty cache, no error.
-	if r, s, err := LoadSolveCacheFile(filepath.Join(t.TempDir(), "absent"), dst); r != 0 || s != 0 || err != nil {
-		t.Fatalf("missing file: r=%d s=%d err=%v", r, s, err)
-	}
-
-	// Torn tail: drop the last byte; the first record still loads.
-	b, _ := os.ReadFile(path)
-	os.WriteFile(path, b[:len(b)-1], 0o644)
-	dst2 := cache.NewSolveCache(16)
-	restored, skipped, err = LoadSolveCacheFile(path, dst2)
-	if err != nil || restored != 1 || skipped != 1 {
-		t.Fatalf("torn load: restored=%d skipped=%d err=%v", restored, skipped, err)
 	}
 }
 

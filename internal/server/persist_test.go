@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,18 +15,6 @@ import (
 
 	"ecopatch/internal/persist"
 )
-
-// persistRequest is the tiny job with feasibility decided by cofactor
-// expansion instead of 2QBF: that check is a cached SAT query, so the
-// solve leaves solve-cache entries to persist. (Under the default QBF
-// path the only cached query is the final verification, which the
-// fraig front end settles before any solver or cache is reached.)
-func persistRequest() JobRequest {
-	req := testRequest()
-	useQBF := false
-	req.Options.UseQBF = &useQBF
-	return req
-}
 
 // TestPersistRestartWarm is the core crash-safety contract: finish a
 // job, restart the daemon on the same data dir, and both the job
@@ -34,7 +26,7 @@ func TestPersistRestartWarm(t *testing.T) {
 
 	s1, c1 := newTestServer(t, cfg)
 	ctx := context.Background()
-	st, err := c1.Submit(ctx, persistRequest())
+	st, err := c1.Submit(ctx, testRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +38,9 @@ func TestPersistRestartWarm(t *testing.T) {
 		t.Fatal("first run produced no patch")
 	}
 	firstPatch := st.Result.Patch
-	solveEntries := s1.ecoCache.Solve.Stats().Entries
-	if solveEntries == 0 {
-		t.Fatal("solve produced no cache entries to persist")
-	}
 	s1.Drain(0)
 
-	s2, c2 := newTestServer(t, cfg)
+	_, c2 := newTestServer(t, cfg)
 	// Job history survived, result included.
 	got, err := c2.Status(ctx, st.ID)
 	if err != nil {
@@ -64,13 +52,9 @@ func TestPersistRestartWarm(t *testing.T) {
 	if got.Result == nil || got.Result.Patch != firstPatch {
 		t.Fatal("restored job lost its result")
 	}
-	// Solve cache warmed from disk.
-	if n := s2.ecoCache.Solve.Stats().Entries; n != solveEntries {
-		t.Fatalf("solve cache restored %d entries, want %d", n, solveEntries)
-	}
 	// Duplicate submission: instant hit from the persisted result,
 	// pointing at the original job, identical patch.
-	st2, err := c2.Submit(ctx, persistRequest())
+	st2, err := c2.Submit(ctx, testRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +70,102 @@ func TestPersistRestartWarm(t *testing.T) {
 	}
 	if hits := metricValue(t, fetchMetrics(t, c2), "ecod_cache_hits_total"); hits != 1 {
 		t.Fatalf("cache hits after restart = %v, want 1", hits)
+	}
+}
+
+// retiredSolvePayloads are solve-cache entries in the record format
+// older daemons appended under persist.RecSolve (one Sat entry with
+// its model, one Unsat entry).
+var retiredSolvePayloads = []string{
+	"0100000003000000020000000200000003000000030000000000000003000000040000000100000001000000010300000005",
+	"0100000003000000020000000200000003000000030000000000000003000000040000000000000002",
+}
+
+// TestPersistSkipsRetiredSolveRecords boots on a data dir written by a
+// daemon that still persisted its solve cache: the retired records
+// are skipped and logged once with their count, the job history and
+// the result cache are restored as usual, the skipped records count
+// as garbage, and compaction drops them.
+func TestPersistSkipsRetiredSolveRecords(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := persist.Open(persist.Options{Dir: dir}, func(persist.RecordType, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		for _, s := range retiredSolvePayloads {
+			b, err := hex.DecodeString(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Append(persist.RecSolve, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lg.Close()
+	solveFrames := int64(rounds * len(retiredSolvePayloads))
+
+	// A daemon on this dir finishes one job, so the log also holds a
+	// done job's records next to the retired ones.
+	cfg := Config{Workers: 1, CacheEntries: 16, DataDir: dir}
+	s1, c1 := newTestServer(t, cfg)
+	ctx := context.Background()
+	st, err := c1.Submit(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c1.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != StateDone {
+		t.Fatalf("run: %+v, err %v", st, err)
+	}
+	s1.Drain(0)
+
+	var logBuf bytes.Buffer
+	cfg.Log = log.New(&logBuf, "", 0)
+	s2, c2 := newTestServer(t, cfg)
+	if n := strings.Count(logBuf.String(), "retired solve-cache records"); n != 1 {
+		t.Fatalf("retired records logged %d times, want once:\n%s", n, logBuf.String())
+	}
+	if want := fmt.Sprintf("skipped %d retired solve-cache records", solveFrames); !strings.Contains(logBuf.String(), want) {
+		t.Fatalf("log lacks %q:\n%s", want, logBuf.String())
+	}
+	got, err := c2.Status(ctx, st.ID)
+	if err != nil || got.State != StateDone || got.Result == nil || got.Result.Patch != st.Result.Patch {
+		t.Fatalf("restored job = %+v, err %v; want done with its patch", got, err)
+	}
+	// The result-cache entry came back with it: a duplicate is served
+	// from the restored result.
+	dup, err := c2.Submit(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup, err = c2.Wait(ctx, dup.ID, 5*time.Millisecond); err != nil || dup.DedupOf != st.ID {
+		t.Fatalf("dup after restart: %+v, err %v; want dedup_of %s", dup, err, st.ID)
+	}
+	if g := s2.persist.lg.Stats().Garbage; g < solveFrames {
+		t.Fatalf("garbage = %d, want >= %d retired solve records", g, solveFrames)
+	}
+
+	if err := s2.persist.lg.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Drain(0)
+	var solve, jobs int
+	lg, err = persist.Open(persist.Options{Dir: dir}, func(typ persist.RecordType, _ []byte) {
+		switch typ {
+		case persist.RecSolve:
+			solve++
+		case persist.RecJob:
+			jobs++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+	if solve != 0 || jobs == 0 {
+		t.Fatalf("after compaction: replayed %d solve and %d job records, want 0 and > 0", solve, jobs)
 	}
 }
 

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"ecopatch/internal/cache"
-	"ecopatch/internal/cnf"
 	"ecopatch/internal/persist"
-	"ecopatch/internal/sat"
 )
 
 // jobRecord is the JSON payload of one RecJob record: the job's wire
@@ -36,9 +33,8 @@ func stateRank(s State) int {
 }
 
 // persistence wires a persist.Log through the daemon: replay on open
-// (warm solve cache, restore job history, warm result cache), append
-// hooks on the live paths, and a compaction snapshot over the current
-// in-memory state.
+// (restore job history, warm the result cache), job-record appends on
+// the live paths, and a compaction snapshot over the retained jobs.
 type persistence struct {
 	s  *Server
 	lg *persist.Log
@@ -53,28 +49,21 @@ type persistence struct {
 // solve context died with the process); they are restored as failed
 // with Recovered set and a distinct "recovered" error, so operators
 // can tell a crash casualty from a genuine engine failure.
+//
+// Records of the retired RecSolve type (solve-cache entries written by
+// older daemons) are skipped and counted; they stay garbage until
+// compaction drops them.
 func openPersistence(s *Server, dir string) (*persistence, error) {
 	p := &persistence{s: s}
 	var (
-		jobs                        = map[string]*jobRecord{}
-		order                       []string
-		solveRestored, solveSkipped int
-		jobSkipped                  int
+		jobs                     = map[string]*jobRecord{}
+		order                    []string
+		jobSkipped, retiredSolve int
 	)
 	lg, err := persist.Open(persist.Options{Dir: dir, Log: s.cfg.Log}, func(typ persist.RecordType, payload []byte) {
 		switch typ {
 		case persist.RecSolve:
-			if s.ecoCache == nil {
-				solveSkipped++ // cache disabled this boot; entries stay on disk as garbage
-				return
-			}
-			f, assumps, v, derr := persist.DecodeSolve(payload)
-			if derr != nil {
-				solveSkipped++
-				return
-			}
-			s.ecoCache.Solve.Insert(f, assumps, v)
-			solveRestored++
+			retiredSolve++
 		case persist.RecJob:
 			var rec jobRecord
 			if json.Unmarshal(payload, &rec) != nil || rec.Status.ID == "" {
@@ -115,61 +104,33 @@ func openPersistence(s *Server, dir string) (*persistence, error) {
 		}
 	}
 
-	// Live = what actually survived into memory (replay inserts may
-	// have been evicted by the caches' own bounds); the rest of the
-	// replayed records is garbage feeding the compaction trigger.
+	// Live = the jobs that survived into memory (replay may have
+	// evicted some by the store's own bound); the rest of the replayed
+	// records, retired solve records included, is garbage feeding the
+	// compaction trigger.
 	liveJobs := 0
 	for _, n := range s.store.Counts() {
 		liveJobs += n
 	}
-	liveSolve := 0
-	if s.ecoCache != nil {
-		liveSolve = s.ecoCache.Solve.Stats().Entries
-	}
-	lg.SetLive(int64(liveJobs + liveSolve))
+	lg.SetLive(int64(liveJobs))
 
-	// Hooks go in only after replay, so replayed entries are not
-	// re-appended to the log they just came from. Solve entries are
-	// async (a lost cache entry just re-solves); evictions feed the
-	// garbage counter that triggers compaction.
-	if s.ecoCache != nil {
-		s.ecoCache.Solve.OnInsert = func(f *cnf.Formula, assumps []sat.Lit, v cache.Verdict) {
-			b := persist.EncodeSolve(f, assumps, v)
-			if b == nil {
-				return
-			}
-			if err := lg.AppendAsync(persist.RecSolve, b); err != nil && err != persist.ErrClosed {
-				s.cfg.Log.Printf("persist: solve entry: %v", err)
-			}
-		}
-		s.ecoCache.Solve.OnEvict = func(n int) { lg.MarkGarbage(int64(n)) }
-	}
+	// The eviction hook goes in only after replay (SetLive already
+	// counted replay's own evictions); it feeds the garbage counter
+	// that triggers compaction.
 	s.store.onEvict = func(n int) { lg.MarkGarbage(int64(n)) }
 	lg.SetSnapshot(p.snapshot)
-	s.cfg.Log.Printf("persist: %s: replayed %d jobs (%d skipped), %d solve entries (%d skipped)",
-		dir, liveJobs, jobSkipped, solveRestored, solveSkipped)
+	s.cfg.Log.Printf("persist: %s: replayed %d jobs (%d skipped)", dir, liveJobs, jobSkipped)
+	if retiredSolve > 0 {
+		s.cfg.Log.Printf("persist: %s: skipped %d retired solve-cache records (dropped at the next compaction)", dir, retiredSolve)
+	}
 	return p, nil
 }
 
-// snapshot writes the current live state for compaction: every live
-// solve-cache entry plus one record per retained job. Replay order is
-// safe because the snapshot segment sorts before the post-compaction
-// tail and both record families merge idempotently.
+// snapshot writes the current live state for compaction: one record
+// per retained job. Replay order is safe because the snapshot segment
+// sorts before the post-compaction tail and job records merge
+// idempotently.
 func (p *persistence) snapshot(w *persist.SnapshotWriter) error {
-	var werr error
-	if p.s.ecoCache != nil {
-		p.s.ecoCache.Solve.Range(func(f *cnf.Formula, assumps []sat.Lit, v cache.Verdict) bool {
-			b := persist.EncodeSolve(f, assumps, v)
-			if b == nil {
-				return true
-			}
-			werr = w.Write(persist.RecSolve, b)
-			return werr == nil
-		})
-		if werr != nil {
-			return werr
-		}
-	}
 	for _, rec := range p.s.store.persistSnapshot() {
 		b, err := json.Marshal(rec)
 		if err != nil {
@@ -179,7 +140,7 @@ func (p *persistence) snapshot(w *persist.SnapshotWriter) error {
 			return err
 		}
 	}
-	return werr
+	return nil
 }
 
 // saveJob appends one job transition record. Terminal records are

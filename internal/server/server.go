@@ -57,9 +57,9 @@ type Config struct {
 	// DefaultRewrite enables DAG-aware miter rewriting for jobs that
 	// leave "rewrite" unset (ecod serve -rewrite).
 	DefaultRewrite bool
-	// DataDir, when set, enables crash-safe persistence: solve-cache
-	// entries and job transitions are appended to a segment log in this
-	// directory and replayed on the next boot — finished jobs stay
+	// DataDir, when set, enables crash-safe persistence: job
+	// transitions are appended to a segment log in this directory and
+	// replayed on the next boot — finished jobs stay
 	// listable with their results, identical re-submissions hit the
 	// warmed result cache, and jobs that were queued or running at the
 	// crash come back as failed with Recovered set.

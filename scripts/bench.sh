@@ -9,16 +9,8 @@
 #   ... change code ...
 #   ./scripts/bench.sh && benchstat old.txt BENCH_sat.txt
 #
-# Also records the Table-1 sweep at intra-solve parallelism 1 and 4
-# (BENCH_table1_p1.json / BENCH_table1_p4.json, additive fields on
-# ecobench/table1@v1) so the serial/parallel wall-clock ratio is
-# tracked alongside the microbenchmarks, plus a restart-warm run
-# against a persisted solve-cache file (BENCH_table1_persist.json,
-# experiment E14), a simulation-layer run (BENCH_table1_sim.json,
-# experiment E15) whose cells carry the sim_* counters for elision and
-# pruning rates against the p1 baseline, and a DAG-aware rewriting run
-# (BENCH_table1_rewrite.json, experiment E16) whose cells carry the
-# rewrite_* counters for miter node reduction against the p1 baseline.
+# End-to-end numbers (the Table-1 workloads and the ecod workload)
+# come from perfbench/run.sh, not from this script.
 #
 # Run from the repository root. Non-gating: failures here never block
 # verify.sh.
@@ -68,29 +60,3 @@ END {
 }' "$OUT_TXT" > "$OUT_JSON"
 
 echo "wrote $OUT_TXT and $OUT_JSON"
-
-# Table-1 sweep, serial vs parallel engine. Per-cell timeout keeps a
-# pathological unit from stalling the sweep; the portfolio counters in
-# the p4 report show which member configurations won the races.
-T1_TIMEOUT="${BENCH_T1_TIMEOUT:-60s}"
-go run ./cmd/ecobench -mode table1 -p 1 -timeout "$T1_TIMEOUT" \
-	-json BENCH_table1_p1.json >/dev/null
-go run ./cmd/ecobench -mode table1 -p 4 -timeout "$T1_TIMEOUT" \
-	-json BENCH_table1_p4.json >/dev/null
-go run ./cmd/ecobench -mode table1 -p 1 -sim -timeout "$T1_TIMEOUT" \
-	-json BENCH_table1_sim.json >/dev/null
-go run ./cmd/ecobench -mode table1 -p 1 -rewrite -timeout "$T1_TIMEOUT" \
-	-json BENCH_table1_rewrite.json >/dev/null
-echo "wrote BENCH_table1_p1.json, BENCH_table1_p4.json, BENCH_table1_sim.json and BENCH_table1_rewrite.json"
-
-# Persistence: the suite twice in two separate processes sharing only
-# a solve-cache file — the restart-warm run (experiment E14) is what
-# gets recorded.
-persist_cache=$(mktemp)
-rm -f "$persist_cache"
-go run ./cmd/ecobench -mode table1 -p 1 -timeout "$T1_TIMEOUT" \
-	-cache-file "$persist_cache" >/dev/null
-go run ./cmd/ecobench -mode table1 -p 1 -timeout "$T1_TIMEOUT" \
-	-cache-file "$persist_cache" -json BENCH_table1_persist.json >/dev/null
-rm -f "$persist_cache"
-echo "wrote BENCH_table1_persist.json"

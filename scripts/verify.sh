@@ -19,8 +19,9 @@ go test -race -short -count=1 ./...
 
 # Optional, non-gating: microbenchmark sweep (scripts/bench.sh writes
 # BENCH_sat.txt / BENCH_sat.json) and short fuzz smokes over the
-# persistence decoder, simulation, rewriting, the equivalence checker
-# and the exact search's hitting-set enumerator. Enable with BENCH=1.
+# persistence log's recovery scan (record framing only), simulation,
+# rewriting, the equivalence checker and the exact search's
+# hitting-set enumerator. Enable with BENCH=1.
 if [ "${BENCH:-0}" = "1" ]; then
 	./scripts/bench.sh || echo "bench.sh failed (non-gating)"
 	go test -run FuzzPersistDecode -fuzz FuzzPersistDecode \
