@@ -9,8 +9,9 @@
 //	aigconv design.blif design.aig
 //	aigconv circuit.aag circuit.v
 //
-// Optionally runs the full optimization pipeline (cut-based NPN
-// rewriting, balance, cleanup — aig.Optimize) in between:
+// Optionally runs the light optimization pipeline the patch
+// synthesizer uses (balance, refactor, cleanup — synth.Optimize) in
+// between:
 //
 //	aigconv -opt input.v output.aig
 package main
@@ -25,10 +26,11 @@ import (
 	"ecopatch/internal/aig"
 	"ecopatch/internal/blif"
 	"ecopatch/internal/netlist"
+	"ecopatch/internal/synth"
 )
 
 func main() {
-	opt := flag.Bool("opt", false, "run the rewrite+balance+cleanup pipeline (aig.Optimize) before writing")
+	opt := flag.Bool("opt", false, "run the balance+refactor+cleanup pipeline (synth.Optimize) before writing")
 	stats := flag.Bool("stats", false, "print node counts")
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -45,7 +47,7 @@ func main() {
 		fmt.Printf("read    %s: %d PIs, %d POs, %d ANDs\n", in, g.NumPIs(), g.NumPOs(), g.NumAnds())
 	}
 	if *opt {
-		g = aig.Optimize(g)
+		g = synth.Optimize(g)
 		if *stats {
 			fmt.Printf("optimized: %d ANDs, depth %d\n", g.NumAnds(), maxLevel(g))
 		}

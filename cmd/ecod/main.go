@@ -5,7 +5,7 @@
 //	ecod serve [-addr :8080] [-workers N] [-cpu-slots N] [-queue N]
 //	           [-max-jobs N] [-default-timeout 0] [-max-timeout 0]
 //	           [-results-dir DIR] [-data-dir DIR] [-drain-grace 10s]
-//	           [-cache-entries 256] [-sim] [-rewrite]
+//	           [-cache-entries 256] [-sim]
 //
 // The daemon exposes POST /v1/jobs, GET /v1/jobs[/{id}],
 // DELETE /v1/jobs/{id}, /healthz and /metrics; SIGTERM/SIGINT drain
@@ -16,7 +16,7 @@
 //
 //	ecod submit  -server URL (-dir DIR | -unit unitK [-scale N])
 //	             [-name S] [-support minimize|final|exact]
-//	             [-patch cubes|interp] [-budget N] [-p N] [-sim] [-rewrite]
+//	             [-patch cubes|interp] [-budget N] [-p N] [-sim]
 //	             [-timeout 30s] [-wait] [-o patch.v]
 //	ecod status  -server URL ID
 //	ecod wait    -server URL ID [-poll 200ms] [-o patch.v]
@@ -104,7 +104,6 @@ func cmdServe(args []string) error {
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
 		cacheEnt   = fs.Int("cache-entries", 256, "content-addressed result cache + shared solve cache size (0 disables)")
 		sim        = fs.Bool("sim", false, "enable the bit-parallel simulation layer for jobs that do not set it")
-		rewrite    = fs.Bool("rewrite", false, "enable DAG-aware miter rewriting for jobs that do not set it")
 	)
 	fs.Parse(args)
 
@@ -125,7 +124,6 @@ func cmdServe(args []string) error {
 		DataDir:        *dataDir,
 		CacheEntries:   *cacheEnt,
 		DefaultSim:     *sim,
-		DefaultRewrite: *rewrite,
 		Log:            logger,
 	})
 	if err != nil {
@@ -181,7 +179,6 @@ func cmdSubmit(args []string) error {
 		budget  = fs.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
 		par     = fs.Int("p", 0, "intra-solve parallelism for this job (0 = serial daemon default)")
 		sim     = fs.Bool("sim", false, "enable the bit-parallel simulation layer for this job")
-		rewrite = fs.Bool("rewrite", false, "enable DAG-aware miter rewriting for this job")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 		wait    = fs.Bool("wait", false, "poll the job to completion and print the result")
 		out     = fs.String("o", "", "with -wait: write the patch netlist here ('-' for stdout)")
@@ -211,10 +208,6 @@ func cmdSubmit(args []string) error {
 		// Only an explicit -sim is sent; absent lets the server
 		// default (-sim on serve) decide.
 		req.Options.Sim = sim
-	}
-	if *rewrite {
-		// Same tri-state convention as -sim.
-		req.Options.Rewrite = rewrite
 	}
 
 	c := &server.Client{Base: *base, MaxRetries: *retries}

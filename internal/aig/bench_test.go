@@ -77,24 +77,14 @@ func BenchmarkBalance(b *testing.B) {
 }
 
 // BenchmarkCleanup guards the pooled-scratch rebuild path: the pass
-// runs on every window extraction and after every rewrite, so its
-// per-call allocations (beyond the result graph itself) must stay
-// flat. Run with -benchmem to see the allocs/op pin.
+// runs on every window extraction, so its per-call allocations
+// (beyond the result graph itself) must stay flat. Run with -benchmem
+// to see the allocs/op pin.
 func BenchmarkCleanup(b *testing.B) {
 	g := benchGraph(20000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Cleanup(g)
-	}
-}
-
-// BenchmarkRewrite measures the full cut-based rewriting pass.
-func BenchmarkRewrite(b *testing.B) {
-	g := benchGraph(20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Rewrite(g, RewriteOptions{})
 	}
 }

@@ -28,11 +28,8 @@ type JSONReport struct {
 	WarmSpeedup  float64 `json:"warm_speedup,omitempty"`
 	// Sim records whether the sweep ran with the bit-parallel
 	// simulation layer (additive field; absent means off).
-	Sim bool `json:"sim,omitempty"`
-	// Rewrite records whether the sweep ran with DAG-aware miter
-	// rewriting (additive field; absent means off).
-	Rewrite bool      `json:"rewrite,omitempty"`
-	Rows    []JSONRow `json:"rows"`
+	Sim  bool      `json:"sim,omitempty"`
+	Rows []JSONRow `json:"rows"`
 }
 
 // JSONRow is one benchmark unit; Results is keyed by mode name.
@@ -89,12 +86,6 @@ type JSONCell struct {
 	SimElided   int64 `json:"sim_elided,omitempty"`
 	SimPruned   int64 `json:"sim_pruned,omitempty"`
 	SimPatterns int64 `json:"sim_patterns,omitempty"`
-
-	// Additive rewriting counters (present only when the cell ran with
-	// -rewrite; the schema stays table1@v1).
-	RewriteNodesBefore int64   `json:"rewrite_nodes_before,omitempty"`
-	RewriteNodesAfter  int64   `json:"rewrite_nodes_after,omitempty"`
-	RewriteSec         float64 `json:"rewrite_sec,omitempty"`
 }
 
 // cellFromAlgo maps one sweep cell into its JSON form.
@@ -131,10 +122,6 @@ func cellFromAlgo(a AlgoResult) JSONCell {
 		SimElided:   a.SimElided,
 		SimPruned:   a.SimPruned,
 		SimPatterns: a.SimPatterns,
-
-		RewriteNodesBefore: a.RewriteNodesBefore,
-		RewriteNodesAfter:  a.RewriteNodesAfter,
-		RewriteSec:         a.RewriteSec,
 	}
 }
 
@@ -166,7 +153,6 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 	}
 	rep.CacheEntries = opts.CacheEntries
 	rep.Sim = opts.Sim
-	rep.Rewrite = opts.Rewrite
 	if opts.Timeout > 0 {
 		rep.TimeoutSec = float64(opts.Timeout) / float64(time.Second)
 	}

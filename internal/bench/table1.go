@@ -61,13 +61,6 @@ type AlgoResult struct {
 	SimElided   int64
 	SimPruned   int64
 	SimPatterns int64
-
-	// Rewriting counters (zero unless the cell ran with -rewrite):
-	// miter AND-node totals before/after the DAG-aware rewriting pass
-	// and the wall clock it spent.
-	RewriteNodesBefore int64
-	RewriteNodesAfter  int64
-	RewriteSec         float64
 }
 
 // Table1Row aggregates one benchmark unit across the three modes.
@@ -150,13 +143,6 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	opt.Cache = opts.Cache
 	opt.SimBank = opts.Sim
 	opt.SimPrune = opts.Sim
-	opt.Rewrite = opts.Rewrite
-	if opt.Parallelism <= 0 {
-		// Bench cells default to the serial engine, not the
-		// GOMAXPROCS-aware engine default: rows must be bit-identical
-		// across job counts and machines unless -p asks otherwise.
-		opt.Parallelism = 1
-	}
 	res, err := eco.Solve(inst, opt)
 	if err != nil {
 		return row, fmt.Errorf("%s/%s: %w", cfg.Name, mode, err)
@@ -202,10 +188,6 @@ func AlgoFromResult(res *eco.Result) AlgoResult {
 		SimElided:   res.Stats.SimElided,
 		SimPruned:   res.Stats.SimPruned,
 		SimPatterns: res.Stats.SimPatterns,
-
-		RewriteNodesBefore: res.Stats.RewriteNodesBefore,
-		RewriteNodesAfter:  res.Stats.RewriteNodesAfter,
-		RewriteSec:         res.Stats.RewriteTime.Seconds(),
 	}
 }
 
@@ -218,8 +200,8 @@ type RunOptions struct {
 	Units   []string      // restrict to these unit names; nil = all
 	// Parallelism is the per-cell eco.Options.Parallelism (intra-solve
 	// SAT portfolio + sharded verification). <=0 means 1 — the fully
-	// deterministic serial engine — NOT the engine's GOMAXPROCS
-	// default, so sweep rows stay reproducible unless asked otherwise.
+	// deterministic serial engine — so sweep rows stay reproducible
+	// unless asked otherwise.
 	Parallelism int
 	// CacheEntries, when > 0, attaches a shared solve/window cache of
 	// that size to every cell of the sweep (ecobench -cache). Ignored
@@ -232,10 +214,6 @@ type RunOptions struct {
 	// SAT-call elision and divisor pruning — on every cell of the
 	// sweep (ecobench -sim).
 	Sim bool
-	// Rewrite enables DAG-aware rewriting of every miter before it
-	// reaches the solvers, on every cell of the sweep (ecobench
-	// -rewrite).
-	Rewrite bool
 }
 
 // RunTable1 reproduces Table 1: every unit in every requested mode.

@@ -48,13 +48,6 @@ type CheckOptions struct {
 	// comparison before it is trusted. Unknown verdicts are never
 	// cached.
 	Cache *cache.SolveCache
-	// Rewrite, when enabled, pre-reduces the miter with the DAG-aware
-	// rewriting pass (aig.Optimize) before the structural fast path and
-	// any solving. The reduction is deterministic and preserves the PI
-	// interface (count, order, names), so counterexamples stay indexed
-	// by PI position; pairs the rewriting proves equal structurally
-	// never reach a solver at all.
-	Rewrite bool
 }
 
 // Result reports the outcome of an equivalence check.
@@ -127,13 +120,6 @@ func CheckLitsOpt(g *aig.AIG, as, bs []aig.Lit, opt CheckOptions) (Result, error
 // first, so only the pairs the sweep could not merge reach the final
 // query; budgeted probes solve directly.
 func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (Result, error) {
-	if opt.Rewrite {
-		// Every entry point passes the full ordered PI list, and the
-		// extraction preserves that interface, so readback and the
-		// failing-output evaluation below run unchanged on the
-		// rewritten miter.
-		m, pis, t1, t2 = rewriteMiter(m, t1, t2)
-	}
 	// Fast path: structural hashing may already have merged each pair.
 	diff := differingPairs(t1, t2)
 	if len(diff) == 0 {
@@ -249,15 +235,6 @@ func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt Che
 		tally.add(tl)
 	}
 	return mergePairVerdicts(m, t1, t2, statuses, cexs, conflicts.Load(), tally)
-}
-
-// rewriteMiter rebuilds the miter as an extraction of the pair edges
-// optimized by the DAG-aware rewriting pass. POs survive Optimize in
-// order, so the pair edges read back by position.
-func rewriteMiter(m *aig.AIG, t1, t2 []aig.Lit) (*aig.AIG, []aig.Lit, []aig.Lit, []aig.Lit) {
-	og := aig.Optimize(extractPairs(m, t1, t2))
-	pis, nt1, nt2 := readPairs(og, len(t1))
-	return og, pis, nt1, nt2
 }
 
 // extractPairs copies the cones of the pair edges into a fresh graph

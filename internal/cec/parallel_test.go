@@ -126,6 +126,49 @@ func TestShardedDeterministicCex(t *testing.T) {
 	}
 }
 
+// TestRewriteCheckSharded pins that every shard count reports the
+// serial run's failing output: the worker pool's deterministic merge
+// rule (lowest satisfiable shard wins) does not depend on the number of
+// shards.
+func TestRewriteCheckSharded(t *testing.T) {
+	g1 := randomMultiOutGraph(42, 12)
+	g2 := aig.Clone(g1)
+	for _, o := range []int{1, 6, 10} {
+		g2.SetPO(o, g2.PO(o).Not())
+	}
+	outs1 := make([]aig.Lit, g1.NumPOs())
+	outs2 := make([]aig.Lit, g2.NumPOs())
+	for i := range outs1 {
+		outs1[i] = g1.PO(i)
+		outs2[i] = g2.PO(i)
+	}
+	run := func(shards int) Result {
+		m := aig.New()
+		piMap := make([]aig.Lit, g1.NumPIs())
+		for i := range piMap {
+			piMap[i] = m.AddPI(g1.PIName(i))
+		}
+		t1 := aig.Transfer(m, g1, piMap, outs1)
+		t2 := aig.Transfer(m, g2, piMap, outs2)
+		res, err := checkPairs(m, piMap, t1, t2, CheckOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(1)
+	if serial.Equivalent {
+		t.Fatal("mutated outputs must be inequivalent")
+	}
+	for _, shards := range []int{2, 4} {
+		res := run(shards)
+		if res.Equivalent || res.FailingOutput != serial.FailingOutput {
+			t.Fatalf("shards=%d: equivalent=%v failing=%d, serial failing=%d",
+				shards, res.Equivalent, res.FailingOutput, serial.FailingOutput)
+		}
+	}
+}
+
 // TestShardedInterrupt: interrupting all shard solvers with no shard
 // having found a difference yields ErrGaveUp, same as serial.
 func TestShardedInterrupt(t *testing.T) {

@@ -143,17 +143,13 @@ func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
 	set(2, o.FunctionalMatch)
 	set(3, o.ForceStructural)
 	set(4, e.par() == 1)
-	// Bit 5 is unused.
+	// Bits 5 and 8 are unused.
 	// Simulation modes change which queries the solver actually sees
 	// (pruned divisor sets, bank-elided re-solves), so the computed
 	// patch may differ — same verdict and cost, different structure.
 	// Separate bits keep every mode reproducible against itself.
 	set(6, o.SimPrune)
 	set(7, o.SimBank)
-	// Rewritten windows feed the solver smaller (different) queries, so
-	// the computed patch structure may differ — same verdict and cost.
-	// Bit 8 keeps rewrite-on and rewrite-off entries apart.
-	set(8, o.Rewrite)
 	return append(buf,
 		uint64(o.Support), uint64(o.Patch), flags,
 		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),
@@ -184,13 +180,6 @@ func (e *engine) feasKey() []uint64 {
 	}
 	buf := make([]uint64, 0, 1024)
 	buf = append(buf, feasKeyVersion, uint64(e.opt.ConfBudget))
-	// The verdict is rewrite-independent but the cached countermoves
-	// are read off the graph the QBF solver saw; keep modes apart (the
-	// marker is appended only when on, so rewrite-off keys are
-	// unchanged).
-	if e.opt.Rewrite {
-		buf = append(buf, ^uint64(0x8e817e))
-	}
 	// The cone encodes every reached PI by name; the explicit target
 	// list pins the ∃x/∀t partition on top of that.
 	buf = append(buf, uint64(len(e.targets)))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
@@ -117,10 +116,11 @@ type Options struct {
 	// Parallelism diversified solvers with clause sharing, final
 	// verification shards its output pairs across Parallelism
 	// workers, and functional matching batches its SAT confirmations
-	// across the same worker count. 0 picks runtime.GOMAXPROCS(0);
-	// 1 reproduces the serial engine bit for bit. Verdicts (feasible,
-	// verified) are independent of the setting; at >1 the computed
-	// patches may differ from the serial ones but always verify.
+	// across the same worker count. 0 (the default) and 1 run the
+	// serial engine, bit for bit reproducible on any host. Verdicts
+	// (feasible, verified) are independent of the setting; at >1 the
+	// computed patches may differ from the serial ones but always
+	// verify.
 	Parallelism int
 
 	// SimBank enables pattern-bank SAT-call elision: every full model
@@ -145,19 +145,6 @@ type Options struct {
 	// valid, cheaper-to-encode patch basis; Sat falls back to the full
 	// set, so feasibility verdicts are unchanged by construction.
 	SimPrune bool
-
-	// Rewrite enables DAG-aware cut-based AIG rewriting (aig.Optimize)
-	// on every miter before it reaches a solver: the feasibility miter
-	// (QBF or cofactor-expansion path) and each window's two-copy
-	// cofactor miters plus divisor cones are transferred into a fresh
-	// PI-interface-preserving graph, shrunk, and encoded from there.
-	// Verdicts and patch costs are unchanged — rewriting is
-	// equivalence-preserving and the pass is deterministic, so p=1 runs
-	// stay bit-for-bit reproducible against themselves — but solvers
-	// see smaller formulas. Window cache entries are keyed per mode
-	// (options-key bit 8): the solver sees different queries, so the
-	// computed patch structure may differ from a rewrite-off run's.
-	Rewrite bool
 
 	// Cache, when non-nil, memoizes solve work across (and within)
 	// runs: CEC pair-check and cofactor-feasibility verdicts by
@@ -239,13 +226,6 @@ type Stats struct {
 	SimPruned   int64
 	SimPatterns int64
 
-	// Rewriting-layer counters (zero unless Options.Rewrite): AND-node
-	// totals of every rewritten miter cone before and after the pass,
-	// and the wall clock the pass consumed.
-	RewriteNodesBefore int64
-	RewriteNodesAfter  int64
-	RewriteTime        time.Duration
-
 	// Cache traffic (zero unless Options.Cache was set): queries
 	// served from the solve/window caches, queries computed fresh, and
 	// hash collisions screened out by full content comparison. An
@@ -290,9 +270,6 @@ func (s *Stats) Add(o Stats) {
 	s.SimElided += o.SimElided
 	s.SimPruned += o.SimPruned
 	s.SimPatterns += o.SimPatterns
-	s.RewriteNodesBefore += o.RewriteNodesBefore
-	s.RewriteNodesAfter += o.RewriteNodesAfter
-	s.RewriteTime += o.RewriteTime
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheCollisions += o.CacheCollisions
@@ -424,16 +401,9 @@ func (e *engine) newSolver() *sat.Solver {
 }
 
 // par returns the effective intra-solve parallelism:
-// Options.Parallelism, defaulting to the scheduler's processor count.
+// Options.Parallelism, with 0 (the default) meaning serial.
 func (e *engine) par() int {
-	p := e.opt.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return max(e.opt.Parallelism, 1)
 }
 
 // newPortfolio builds a racing portfolio loaded from the captured

@@ -15,11 +15,11 @@ import (
 // the divisor relation), partition B the offset copy plus the
 // equalities binding the shared divisor variables; the McMillan
 // interpolant is then a circuit over the divisors.
-func (e *engine) interpolatePatch(g *aig.AIG, m0, m1 aig.Lit, divs []divisor, selected []int) (*aig.AIG, error) {
+func (e *engine) interpolatePatch(m0, m1 aig.Lit, divs []divisor, selected []int) (*aig.AIG, error) {
 	s := e.newSolver()
 	proof := s.StartProof()
 	// Partition A: onset copy.
-	encA := cnf.NewEncoder(s, g)
+	encA := cnf.NewEncoder(s, e.w)
 	rA := encA.Lit(m0)
 	dA := make([]sat.Lit, len(selected))
 	for jj, j := range selected {
@@ -31,7 +31,7 @@ func (e *engine) interpolatePatch(g *aig.AIG, m0, m1 aig.Lit, divs []divisor, se
 	}
 	// Partition B: offset copy plus equalities.
 	proof.BeginB()
-	encB := cnf.NewEncoder(s, g)
+	encB := cnf.NewEncoder(s, e.w)
 	rB := encB.Lit(m1)
 	ok := s.AddClause(rB)
 	for jj, j := range selected {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -76,6 +77,31 @@ func TestParallelismOneBitReproducible(t *testing.T) {
 				t.Fatalf("Parallelism=1 not reproducible:\nrun0:\n%s\nrun1:\n%s", snaps[0], snaps[1])
 			}
 		})
+	}
+}
+
+// TestDefaultOptionsSerial pins that the library default is the
+// serial engine on a multi-core host: DefaultOptions leaves
+// Parallelism at 0, which must not inherit GOMAXPROCS and race the
+// portfolio. The same case at Parallelism 2 must race, so the check
+// is not vacuous.
+func TestDefaultOptionsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tc := parallelCases(t)["multi-noqbf"]
+	res, err := Solve(tc.inst, tc.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PortfolioRaces != 0 {
+		t.Fatalf("DefaultOptions at GOMAXPROCS=2 raced the portfolio %d times", res.Stats.PortfolioRaces)
+	}
+	opt := tc.opt
+	opt.Parallelism = 2
+	if res, err = Solve(tc.inst, opt); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PortfolioRaces == 0 {
+		t.Fatal("Parallelism=2 recorded no portfolio races")
 	}
 }
 

@@ -55,11 +55,7 @@ func (e *engine) checkFeasible() (bool, error) {
 				e.stats.CacheCollisions += int64(coll)
 			}
 		}
-		// With rewriting on, the 2QBF solver reads the optimized miter
-		// extraction; xPIs/tPIs are PI positions and the extraction
-		// preserves the PI interface, so the partition carries over.
-		fg, fm := e.rewriteFeas()
-		r, err := qbf.Solve(fg, fm, e.xPIs, e.tPIs, qbf.Options{
+		r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{
 			ConfBudget: e.opt.ConfBudget,
 			OnSolver:   e.group.add,
 		})
@@ -79,11 +75,8 @@ func (e *engine) checkFeasible() (bool, error) {
 		return !r.Holds, nil
 	}
 	// Cofactor-expansion check: ∀-quantify all targets, then one SAT
-	// call (combinational-equivalence style). With rewriting on, the
-	// expansion runs over the optimized miter extraction — the cofactor
-	// copies and the encoded formula shrink with it.
-	fg, fm := e.rewriteFeas()
-	quant := aig.UnivQuant(fg, fg, identityPIMap(fg), e.tPIs, []aig.Lit{fm})[0]
+	// call (combinational-equivalence style).
+	quant := aig.UnivQuant(e.w, e.w, e.selfPIMap(), e.tPIs, []aig.Lit{e.fullMiter})[0]
 	e.stats.MiterCopies += 1 << uint(k)
 	if quant == aig.ConstFalse {
 		return true, nil
@@ -96,7 +89,7 @@ func (e *engine) checkFeasible() (bool, error) {
 	var f *cnf.Formula
 	if e.par() > 1 || useCache {
 		f = &cnf.Formula{}
-		enc := cnf.NewEncoder(f, fg)
+		enc := cnf.NewEncoder(f, e.w)
 		f.AddClause(enc.Lit(quant))
 	}
 	var st sat.Status
@@ -134,7 +127,7 @@ func (e *engine) checkFeasible() (bool, error) {
 			}
 		} else {
 			s := e.newSolver()
-			enc := cnf.NewEncoder(s, fg)
+			enc := cnf.NewEncoder(s, e.w)
 			s.AddClause(enc.Lit(quant))
 			e.stats.SATCalls++
 			st = s.Solve()

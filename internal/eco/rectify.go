@@ -125,9 +125,9 @@ type exprTwoEnc struct {
 // capturing into a cnf.Formula and replaying it into K portfolio
 // members yields the same literal numbering as encoding into a solver
 // directly — the returned literals are valid on every member.
-func (e *engine) encodeExprTwo(sink cnf.Sink, g *aig.AIG, m0, m1 aig.Lit, divs []divisor) exprTwoEnc {
-	enc1 := cnf.NewEncoder(sink, g)
-	enc2 := cnf.NewEncoder(sink, g)
+func (e *engine) encodeExprTwo(sink cnf.Sink, m0, m1 aig.Lit, divs []divisor) exprTwoEnc {
+	enc1 := cnf.NewEncoder(sink, e.w)
+	enc2 := cnf.NewEncoder(sink, e.w)
 	ec := exprTwoEnc{
 		r1:   enc1.Lit(m0),
 		r2:   enc2.Lit(m1),
@@ -148,8 +148,8 @@ func (e *engine) encodeExprTwo(sink cnf.Sink, g *aig.AIG, m0, m1 aig.Lit, divs [
 	// cone is fully encoded by now and Encoded() screens the rest, so
 	// the capture never alters the clause/variable stream.
 	if e.simEnabled() {
-		e.winPIs1 = e.capturePIs(enc1, g)
-		e.winPIs2 = e.capturePIs(enc2, g)
+		e.winPIs1 = e.capturePIs(enc1)
+		e.winPIs2 = e.capturePIs(enc2)
 	}
 	return ec
 }
@@ -191,12 +191,6 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		e.winBank, e.winEqs, e.winPIs1, e.winPIs2 = nil, nil, nil, nil
 	}()
 
-	// With rewriting on, every encoding below reads from the optimized
-	// extraction of this window's cones instead of the working AIG.
-	// The PI interface is preserved, so pattern capture and replay are
-	// unaffected; divisor order, names and costs are identical.
-	wg, m0, m1, divs := e.rewriteWindow(m0, m1, divs)
-
 	// Expression (2): UNSAT under all equalities iff the divisors can
 	// express a patch. At Parallelism > 1 the query races across the
 	// portfolio and the winner carries on as the incremental solver
@@ -205,7 +199,7 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	var ec exprTwoEnc
 	if e.par() > 1 {
 		var f cnf.Formula
-		ec = e.encodeExprTwo(&f, wg, m0, m1, divs)
+		ec = e.encodeExprTwo(&f, m0, m1, divs)
 		p := e.newPortfolio(&f)
 		e.stats.SATCalls++
 		st := p.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...)
@@ -220,7 +214,7 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		s = p.Winner()
 	} else {
 		s = e.newSolver()
-		ec = e.encodeExprTwo(s, wg, m0, m1, divs)
+		ec = e.encodeExprTwo(s, m0, m1, divs)
 		e.stats.SATCalls++
 		switch s.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...) {
 		case sat.Sat:
@@ -275,7 +269,7 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		support[jj] = divs[j].name
 	}
 	if e.opt.Patch == PatchInterpolation {
-		patch, err = e.interpolatePatch(wg, m0, m1, divs, selected)
+		patch, err = e.interpolatePatch(m0, m1, divs, selected)
 		if err != nil {
 			return err
 		}

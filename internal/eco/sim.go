@@ -110,15 +110,13 @@ func (e *engine) harvestPIs(m sim.Model) {
 	}
 }
 
-// capturePIs records the solver literal of every PI of g (the graph
-// enc encodes from — e.w or its rewritten extraction, which preserves
-// the PI interface) under enc, LitUndef for PIs outside the encoded
-// cones. Encoded() is checked first so the capture never extends the
-// clause stream.
-func (e *engine) capturePIs(enc *cnf.Encoder, g *aig.AIG) []sat.Lit {
-	out := make([]sat.Lit, g.NumPIs())
+// capturePIs records the solver literal of every PI of e.w under enc,
+// LitUndef for PIs outside the encoded cones. Encoded() is checked
+// first so the capture never extends the clause stream.
+func (e *engine) capturePIs(enc *cnf.Encoder) []sat.Lit {
+	out := make([]sat.Lit, e.w.NumPIs())
 	for i := range out {
-		l := g.PI(i)
+		l := e.w.PI(i)
 		if enc.Encoded(l.Node()) {
 			out[i] = enc.Lit(l)
 		} else {

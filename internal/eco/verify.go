@@ -26,7 +26,6 @@ func (e *engine) verify() (bool, error) {
 		OnSolver: e.group.add,
 		Shards:   e.par(),
 		Cache:    e.solveCache(),
-		Rewrite:  e.opt.Rewrite,
 	})
 	e.stats.CacheHits += res.CacheHits
 	e.stats.CacheMisses += res.CacheMisses

@@ -12,14 +12,14 @@ import (
 )
 
 // TestRemovedPrepOptionIgnored pins wire compatibility for the
-// removed "preprocess" job option: old clients and persisted requests
-// still send it, so a raw submission carrying it is accepted and
-// solved with the field ignored — also next to patch "interp", a
-// combination the option used to reject.
+// removed "preprocess" and "rewrite" job options: old clients and
+// persisted requests still send them, so a raw submission carrying
+// them is accepted and solved with the fields ignored — also next to
+// patch "interp", a combination "preprocess" used to reject.
 func TestRemovedPrepOptionIgnored(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	solve := s.solve
-	patches := make(chan eco.PatchMethod, 2)
+	patches := make(chan eco.PatchMethod, 4)
 	s.solve = func(ctx context.Context, inst *eco.Instance, opt eco.Options) (*eco.Result, error) {
 		patches <- opt.Patch
 		return solve(ctx, inst, opt)
@@ -31,6 +31,8 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 	}{
 		{`{"preprocess": true}`, eco.PatchCubeEnum},
 		{`{"preprocess": true, "patch": "interp"}`, eco.PatchInterpolation},
+		{`{"rewrite": true}`, eco.PatchCubeEnum},
+		{`{"preprocess": true, "rewrite": true}`, eco.PatchCubeEnum},
 	} {
 		body, err := json.Marshal(map[string]any{
 			"name": "tiny", "impl": implSrc, "spec": specSrc, "options": json.RawMessage(tc.options),

@@ -88,10 +88,6 @@ type JobOptions struct {
 	// call elision + divisor pruning) for the job. Absent takes the
 	// server default (-sim).
 	Sim *bool `json:"sim,omitempty"`
-	// Rewrite enables DAG-aware rewriting of every miter before it
-	// reaches the SAT/QBF solvers. Absent takes the server default
-	// (-rewrite).
-	Rewrite *bool `json:"rewrite,omitempty"`
 }
 
 // Eco materializes the engine options, starting from DefaultOptions.
@@ -147,9 +143,6 @@ func (o JobOptions) Eco() (eco.Options, error) {
 	opt.Parallelism = o.Parallelism
 	if o.Sim != nil {
 		opt.SimBank, opt.SimPrune = *o.Sim, *o.Sim
-	}
-	if o.Rewrite != nil {
-		opt.Rewrite = *o.Rewrite
 	}
 	return opt, nil
 }

@@ -282,7 +282,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_sim_elided_total", "SAT calls answered from the banked-model pattern store.", st.SimElided)
 	counter("ecod_sim_pruned_divisors_total", "Divisors dropped by simulation-guided pruning.", st.SimPruned)
 	counter("ecod_sim_patterns_total", "Simulation patterns banked (models + counterexamples).", st.SimPatterns)
-	counter("ecod_rewrite_nodes_eliminated_total", "Miter AND nodes removed by DAG-aware rewriting.", st.RewriteNodesBefore-st.RewriteNodesAfter)
 	fcounter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
@@ -301,8 +300,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_sat_solve_calls_total", "Solve() invocations on SAT kernels.", st.Solver.SolveCalls)
 	counter("ecod_sat_shared_out_total", "Learnt clauses exported to portfolio exchanges.", st.Solver.SharedOut)
 	counter("ecod_sat_shared_in_total", "Learnt clauses imported from portfolio exchanges.", st.Solver.SharedIn)
-
-	fcounter("ecod_rewrite_seconds_total", "Wall clock spent inside DAG-aware miter rewriting.", st.RewriteTime.Seconds())
 
 	// Portfolio race outcomes (intra-solve parallelism), labeled by
 	// member configuration so win skew is visible per solver recipe.

@@ -37,7 +37,7 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 			h.Write([]byte{0})
 		}
 	}
-	ws("ecod-digest@v2")
+	ws("ecod-digest@v3")
 	ws(req.Impl)
 	ws(req.Spec)
 	ws(req.Weights)
@@ -56,7 +56,6 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 	wi(int64(opt.Parallelism))
 	wb(opt.SimBank)
 	wb(opt.SimPrune)
-	wb(opt.Rewrite)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

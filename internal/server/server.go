@@ -54,9 +54,6 @@ type Config struct {
 	// bank + divisor pruning) for jobs that leave "sim" unset
 	// (ecod serve -sim).
 	DefaultSim bool
-	// DefaultRewrite enables DAG-aware miter rewriting for jobs that
-	// leave "rewrite" unset (ecod serve -rewrite).
-	DefaultRewrite bool
 	// DataDir, when set, enables crash-safe persistence: job
 	// transitions are appended to a segment log in this directory and
 	// replayed on the next boot — finished jobs stay
@@ -290,9 +287,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus) {
 		stats.SimElided = status.Result.SimElided
 		stats.SimPruned = status.Result.SimPruned
 		stats.SimPatterns = status.Result.SimPatterns
-		stats.RewriteNodesBefore = status.Result.RewriteNodesBefore
-		stats.RewriteNodesAfter = status.Result.RewriteNodesAfter
-		stats.RewriteTime = time.Duration(status.Result.RewriteSec * float64(time.Second))
 	}
 	s.metrics.Finished(status.State, solve, stats)
 	s.cfg.Log.Printf("job %s (%s) -> %s", j.ID, j.Name, status.State)
@@ -456,18 +450,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Options.Sim == nil && s.cfg.DefaultSim {
 		opt.SimBank, opt.SimPrune = true, true
 	}
-	if req.Options.Rewrite == nil && s.cfg.DefaultRewrite {
-		opt.Rewrite = true
-	}
 	if s.cfg.MaxTimeout > 0 && (opt.Timeout == 0 || opt.Timeout > s.cfg.MaxTimeout) {
 		opt.Timeout = s.cfg.MaxTimeout
 	}
 	// A job's intra-solve parallelism weighs against the CPU-slot
-	// pool: 0 means the daemon default of 1 (serial) — the engine's
-	// GOMAXPROCS-aware default would let one job monopolize the pool —
-	// and requests above the pool are clamped to it. Normalizing
-	// before digesting lets submissions that run the same solve share
-	// one digest.
+	// pool: 0 means 1 (serial), and requests above the pool are
+	// clamped to it. Normalizing before digesting lets submissions
+	// that run the same solve share one digest.
 	opt.Parallelism = min(max(opt.Parallelism, 1), s.cfg.CPUSlots)
 
 	j := s.store.NewJob(inst.Name, inst, opt)

@@ -10,18 +10,18 @@ go test ./...
 # One race pass over every package: the concurrency layer (solver
 # interrupts, the SAT portfolio, sharded equivalence checking, the
 # parallel engine routes, the daemon's CPU slots and dedup paths), the
-# shared caches, simulation, rewriting and persistence. -count=1
-# defeats test caching so the concurrent machinery is always
-# exercised fresh. -short skips the slow single-threaded sweeps (the
-# 65536-function NPN recipe build, the bench-suite scale and parity
-# sweeps, the CLI end-to-end run) that the full suite above runs.
+# shared caches, simulation and persistence. -count=1 defeats test
+# caching so the concurrent machinery is always exercised fresh.
+# -short skips the slow single-threaded sweeps (the bench-suite scale
+# and parity sweeps, the CLI end-to-end run) that the full suite above
+# runs.
 go test -race -short -count=1 ./...
 
 # Optional, non-gating: microbenchmark sweep (scripts/bench.sh writes
 # BENCH_sat.txt / BENCH_sat.json) and short fuzz smokes over the
 # persistence log's recovery scan (record framing only), simulation,
-# rewriting, the equivalence checker and the exact search's
-# hitting-set enumerator. Enable with BENCH=1.
+# the equivalence checker and the exact search's hitting-set
+# enumerator. Enable with BENCH=1.
 if [ "${BENCH:-0}" = "1" ]; then
 	./scripts/bench.sh || echo "bench.sh failed (non-gating)"
 	go test -run FuzzPersistDecode -fuzz FuzzPersistDecode \
@@ -30,9 +30,6 @@ if [ "${BENCH:-0}" = "1" ]; then
 	go test -run FuzzSimWords -fuzz FuzzSimWords \
 		-fuzztime=10s ./internal/aig \
 		|| echo "sim fuzz smoke failed (non-gating)"
-	go test -run FuzzRewrite -fuzz FuzzRewrite \
-		-fuzztime=10s ./internal/aig \
-		|| echo "rewrite fuzz smoke failed (non-gating)"
 	go test -run FuzzCheckLits -fuzz FuzzCheckLits \
 		-fuzztime=10s ./internal/cec \
 		|| echo "cec fuzz smoke failed (non-gating)"
