@@ -19,7 +19,7 @@
 //	         [-unit unitK] [-units unitK,unitL,...]
 //	         [-modes baseline,minassume,exact]
 //	         [-j N] [-p N] [-timeout 30s] [-cache N] [-warm]
-//	         [-sim] [-json report.json]
+//	         [-json report.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
@@ -55,7 +55,6 @@ func realMain() int {
 		timeout    = flag.Duration("timeout", 0, "per-(unit,mode) deadline for table1 cells (0 = none)")
 		cacheEnt   = flag.Int("cache", 0, "attach a shared solve/window cache of N entries to the table1 sweep (0 = off)")
 		warm       = flag.Bool("warm", false, "run table1 twice against one cache (cold then warm) and report the speedup")
-		sim        = flag.Bool("sim", false, "enable the bit-parallel simulation layer (pattern-bank SAT-call elision + divisor pruning)")
 		jsonPath   = flag.String("json", "", "also write the table1 report as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -103,7 +102,7 @@ func realMain() int {
 				run   func() error
 			}{
 				{"Table 1", func() error {
-					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *sim, *jsonPath)
+					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *jsonPath)
 				}},
 				{"E5: minimize_assumptions SAT calls (§3.4.1)", func() error { return bench.RunMinCalls(os.Stdout) }},
 				{"E6: miter copies for structural multi-target (§3.6.2)", func() error { return bench.RunCopies(*scale, os.Stdout) }},
@@ -116,7 +115,7 @@ func realMain() int {
 				fmt.Println()
 			}
 		case "table1":
-			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *sim, *jsonPath)
+			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *jsonPath)
 		case "copies":
 			err = bench.RunCopies(*scale, os.Stdout)
 		case "mincalls":
@@ -177,10 +176,10 @@ func parseUnits(unit, units string) []string {
 	return out
 }
 
-func runTable1(scale int, units []string, modes []string, jobs, par int, timeout time.Duration, cacheEnt int, warm, sim bool, jsonPath string) error {
+func runTable1(scale int, units []string, modes []string, jobs, par int, timeout time.Duration, cacheEnt int, warm bool, jsonPath string) error {
 	opts := bench.RunOptions{
 		Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout,
-		Parallelism: par, CacheEntries: cacheEnt, Sim: sim,
+		Parallelism: par, CacheEntries: cacheEnt,
 	}
 	opts.Units = units
 	var rep bench.JSONReport

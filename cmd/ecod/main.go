@@ -5,7 +5,7 @@
 //	ecod serve [-addr :8080] [-workers N] [-cpu-slots N] [-queue N]
 //	           [-max-jobs N] [-default-timeout 0] [-max-timeout 0]
 //	           [-results-dir DIR] [-data-dir DIR] [-drain-grace 10s]
-//	           [-cache-entries 256] [-sim]
+//	           [-cache-entries 256]
 //
 // The daemon exposes POST /v1/jobs, GET /v1/jobs[/{id}],
 // DELETE /v1/jobs/{id}, /healthz and /metrics; SIGTERM/SIGINT drain
@@ -16,7 +16,7 @@
 //
 //	ecod submit  -server URL (-dir DIR | -unit unitK [-scale N])
 //	             [-name S] [-support minimize|final|exact]
-//	             [-patch cubes|interp] [-budget N] [-p N] [-sim]
+//	             [-patch cubes|interp] [-budget N] [-p N]
 //	             [-timeout 30s] [-wait] [-o patch.v]
 //	ecod status  -server URL ID
 //	ecod wait    -server URL ID [-poll 200ms] [-o patch.v]
@@ -103,7 +103,6 @@ func cmdServe(args []string) error {
 		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay job history (and warm the result cache) from this directory on boot")
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
 		cacheEnt   = fs.Int("cache-entries", 256, "content-addressed result cache + shared solve cache size (0 disables)")
-		sim        = fs.Bool("sim", false, "enable the bit-parallel simulation layer for jobs that do not set it")
 	)
 	fs.Parse(args)
 
@@ -123,7 +122,6 @@ func cmdServe(args []string) error {
 		ResultsDir:     *resultsDir,
 		DataDir:        *dataDir,
 		CacheEntries:   *cacheEnt,
-		DefaultSim:     *sim,
 		Log:            logger,
 	})
 	if err != nil {
@@ -178,7 +176,6 @@ func cmdSubmit(args []string) error {
 		patchA  = fs.String("patch", "", "patch computation: cubes, interp")
 		budget  = fs.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
 		par     = fs.Int("p", 0, "intra-solve parallelism for this job (0 = serial daemon default)")
-		sim     = fs.Bool("sim", false, "enable the bit-parallel simulation layer for this job")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 		wait    = fs.Bool("wait", false, "poll the job to completion and print the result")
 		out     = fs.String("o", "", "with -wait: write the patch netlist here ('-' for stdout)")
@@ -203,11 +200,6 @@ func cmdSubmit(args []string) error {
 		ConfBudget:  *budget,
 		TimeoutSec:  timeout.Seconds(),
 		Parallelism: *par,
-	}
-	if *sim {
-		// Only an explicit -sim is sent; absent lets the server
-		// default (-sim on serve) decide.
-		req.Options.Sim = sim
 	}
 
 	c := &server.Client{Base: *base, MaxRetries: *retries}

@@ -24,12 +24,9 @@ type JSONReport struct {
 	// CacheEntries and WarmSpeedup are additive cache-run fields:
 	// the shared-cache size of the sweep (0 = no cache) and, for
 	// warm-vs-cold runs, the geomean cold/warm wall-clock ratio.
-	CacheEntries int     `json:"cache_entries,omitempty"`
-	WarmSpeedup  float64 `json:"warm_speedup,omitempty"`
-	// Sim records whether the sweep ran with the bit-parallel
-	// simulation layer (additive field; absent means off).
-	Sim  bool      `json:"sim,omitempty"`
-	Rows []JSONRow `json:"rows"`
+	CacheEntries int       `json:"cache_entries,omitempty"`
+	WarmSpeedup  float64   `json:"warm_speedup,omitempty"`
+	Rows         []JSONRow `json:"rows"`
 }
 
 // JSONRow is one benchmark unit; Results is keyed by mode name.
@@ -81,8 +78,8 @@ type JSONCell struct {
 	CacheCollisions int64   `json:"cache_collisions,omitempty"`
 	ColdSeconds     float64 `json:"cold_seconds,omitempty"`
 
-	// Additive simulation-layer counters (present only when the cell
-	// ran with -sim; the schema stays table1@v1).
+	// Additive simulation-layer counters (absent when zero; the schema
+	// stays table1@v1).
 	SimElided   int64 `json:"sim_elided,omitempty"`
 	SimPruned   int64 `json:"sim_pruned,omitempty"`
 	SimPatterns int64 `json:"sim_patterns,omitempty"`
@@ -152,7 +149,6 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 		rep.Parallelism = 1
 	}
 	rep.CacheEntries = opts.CacheEntries
-	rep.Sim = opts.Sim
 	if opts.Timeout > 0 {
 		rep.TimeoutSec = float64(opts.Timeout) / float64(time.Second)
 	}

@@ -19,12 +19,12 @@ func TestSolverStatsPinned(t *testing.T) {
 		unit, mode string
 		want       sat.Stats
 	}{
-		{"unit5", ModeMinAssume, sat.Stats{Starts: 139, Decisions: 7268, Propagations: 102843,
-			Conflicts: 927, SolveCalls: 134, Learnts: 926, Restarts: 5, LBDSum: 4980}},
-		{"unit14", ModeMinAssume, sat.Stats{Starts: 773, Decisions: 79306, Propagations: 1286329,
-			Conflicts: 3012, SolveCalls: 766, Learnts: 3011, Restarts: 7, LBDSum: 13332}},
-		{"unit13", ModeExact, sat.Stats{Starts: 170, Decisions: 11447, Propagations: 102809,
-			Conflicts: 297, SolveCalls: 170, Learnts: 296, LBDSum: 1259}},
+		{"unit5", ModeMinAssume, sat.Stats{Starts: 72, Decisions: 2625, Propagations: 76264,
+			Conflicts: 954, SolveCalls: 67, Learnts: 953, Restarts: 5, LBDSum: 5035}},
+		{"unit14", ModeMinAssume, sat.Stats{Starts: 614, Decisions: 19547, Propagations: 776248,
+			Conflicts: 3581, SolveCalls: 607, Learnts: 3580, Restarts: 7, LBDSum: 14867}},
+		{"unit13", ModeExact, sat.Stats{Starts: 112, Decisions: 6482, Propagations: 64515,
+			Conflicts: 301, SolveCalls: 112, Learnts: 300, LBDSum: 1230}},
 	} {
 		cfg, err := ConfigByName(1, c.unit)
 		if err != nil {

@@ -57,7 +57,7 @@ type AlgoResult struct {
 	CacheMisses     int64
 	CacheCollisions int64
 
-	// Simulation-layer counters (zero unless the cell ran with -sim).
+	// Simulation-layer counters.
 	SimElided   int64
 	SimPruned   int64
 	SimPatterns int64
@@ -141,8 +141,6 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	opt.Timeout = opts.Timeout
 	opt.Parallelism = opts.Parallelism
 	opt.Cache = opts.Cache
-	opt.SimBank = opts.Sim
-	opt.SimPrune = opts.Sim
 	res, err := eco.Solve(inst, opt)
 	if err != nil {
 		return row, fmt.Errorf("%s/%s: %w", cfg.Name, mode, err)
@@ -210,10 +208,6 @@ type RunOptions struct {
 	// Cache, when non-nil, is the shared cache handed to every cell —
 	// the warm-run harness threads one cache through both passes.
 	Cache *cache.Cache
-	// Sim enables the bit-parallel simulation layer — pattern-bank
-	// SAT-call elision and divisor pruning — on every cell of the
-	// sweep (ecobench -sim).
-	Sim bool
 }
 
 // RunTable1 reproduces Table 1: every unit in every requested mode.

@@ -143,13 +143,7 @@ func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
 	set(2, o.FunctionalMatch)
 	set(3, o.ForceStructural)
 	set(4, e.par() == 1)
-	// Bits 5 and 8 are unused.
-	// Simulation modes change which queries the solver actually sees
-	// (pruned divisor sets, bank-elided re-solves), so the computed
-	// patch may differ — same verdict and cost, different structure.
-	// Separate bits keep every mode reproducible against itself.
-	set(6, o.SimPrune)
-	set(7, o.SimBank)
+	// Bits 5-8 are unused.
 	return append(buf,
 		uint64(o.Support), uint64(o.Patch), flags,
 		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),
@@ -198,10 +192,10 @@ func (e *engine) windowKey(i int, m0, m1 aig.Lit) []uint64 {
 	buf := make([]uint64, 0, 4096)
 	buf = append(buf, windowKeyVersion)
 	buf = e.appendOptionsKey(buf)
-	// With pruning on, what a window computes depends on the pooled
-	// patterns simulated against it; fold the pool state into the key
-	// so a hit is only taken when the pruning inputs match too.
-	if e.opt.SimPrune && e.patterns != nil {
+	// What a window computes depends on the pooled patterns its
+	// divisor pruning simulates; fold the pool state into the key so a
+	// hit is only taken when the pruning inputs match too.
+	if e.patterns != nil {
 		buf = e.patterns.AppendKey(buf)
 	}
 	buf = appendKeyString(buf, e.targets[i])

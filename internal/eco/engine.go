@@ -123,29 +123,6 @@ type Options struct {
 	// verify.
 	Parallelism int
 
-	// SimBank enables pattern-bank SAT-call elision: every full model
-	// produced by a window's satisfiable queries is banked as a
-	// 64-packed pattern over the encoding's assumption and read-back
-	// literals, and assumption-only re-solves (support minimization,
-	// last-gasp probes, SAT_prune subset checks) first look for a
-	// banked model satisfying all assumptions — a hit answers Sat with
-	// zero solver work. Sound because those queries add no clauses, so
-	// banked models remain models; the bank is discarded before cube
-	// enumeration (which adds blocking clauses) and at every window
-	// boundary. Verdicts and patch costs are unchanged — elision
-	// preserves each query's status — but patch structure may differ
-	// from a sim-off run (the solver sees fewer queries), so window
-	// cache entries are keyed per mode.
-	SimBank bool
-	// SimPrune enables simulation-guided divisor pruning: before the
-	// expression-(2) feasibility encoding, the window is simulated with
-	// pooled counterexample patterns plus random patterns, and divisors
-	// whose signatures are constant or duplicate a cheaper divisor's
-	// (up to complement) are dropped. UNSAT on the pruned set is a
-	// valid, cheaper-to-encode patch basis; Sat falls back to the full
-	// set, so feasibility verdicts are unchanged by construction.
-	SimPrune bool
-
 	// Cache, when non-nil, memoizes solve work across (and within)
 	// runs: CEC pair-check and cofactor-feasibility verdicts by
 	// captured-formula hash, QBF feasibility outcomes and per-target
@@ -202,8 +179,7 @@ type TargetPatch struct {
 type Stats struct {
 	// SATCalls counts every top-level engine query: each one is either
 	// answered by a solver or elided by the simulation pattern bank, so
-	// the invariant SATCalls = solver-answered + SimElided holds and
-	// sim-on/sim-off runs report comparable query totals. (The raw
+	// the invariant SATCalls = solver-answered + SimElided holds. (The raw
 	// kernel counter Solver.SolveCalls counts only actual solver
 	// invocations, including the minimizer's — those are additionally
 	// broken out in MinimizeCalls.)
@@ -217,11 +193,10 @@ type Stats struct {
 	StructuralFixes int // targets patched by the structural fallback
 	CubesEnumerated int
 
-	// Simulation-layer counters (zero unless Options.SimBank/SimPrune):
-	// queries answered from the pattern bank without a solver, divisors
-	// dropped by simulation-guided pruning on successfully pruned
-	// windows, and patterns captured (banked models plus pooled input
-	// patterns).
+	// Simulation-layer counters: queries answered from the pattern
+	// bank without a solver, divisors dropped by simulation-guided
+	// pruning on successfully pruned windows, and patterns captured
+	// (banked models plus pooled input patterns).
 	SimElided   int64
 	SimPruned   int64
 	SimPatterns int64
@@ -609,9 +584,7 @@ func (e *engine) setup() error {
 	e.usedSignals = make(map[string]bool)
 
 	e.buildWindowAndDivisors()
-	if e.simEnabled() {
-		e.patterns = sim.NewPatternBank(w.NumPIs(), simPatternPoolMax)
-	}
+	e.patterns = sim.NewPatternBank(w.NumPIs(), simPatternPoolMax)
 	return nil
 }
 

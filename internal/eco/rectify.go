@@ -147,19 +147,17 @@ func (e *engine) encodeExprTwo(sink cnf.Sink, m0, m1 aig.Lit, divs []divisor) ex
 	// Capture each copy's PI literals for pattern harvesting. Every
 	// cone is fully encoded by now and Encoded() screens the rest, so
 	// the capture never alters the clause/variable stream.
-	if e.simEnabled() {
-		e.winPIs1 = e.capturePIs(enc1)
-		e.winPIs2 = e.capturePIs(enc2)
-	}
+	e.winPIs1 = e.capturePIs(enc1)
+	e.winPIs2 = e.capturePIs(enc2)
 	return ec
 }
 
 // satPatch runs the SAT-based flow for one target: the two-copy
 // extended miter of expression (2), support selection, and patch
-// function computation. With SimPrune on, a simulation-pruned divisor
-// subset is attempted first — UNSAT on a subset is a valid (cheaper to
-// encode and minimize) patch basis; only an insufficient subset falls
-// back to the full set, so budget expiry keeps its usual meaning.
+// function computation. A simulation-pruned divisor subset is
+// attempted first — UNSAT on a subset is a valid (cheaper to encode
+// and minimize) patch basis; only an insufficient subset falls back to
+// the full set, so budget expiry keeps its usual meaning.
 func (e *engine) satPatch(i int, m0, m1 aig.Lit) error {
 	divs := e.orderedDivisors()
 	if e.opt.Support == SupportAnalyzeFinal {
@@ -227,21 +225,19 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	r1, r2 := ec.r1, ec.r2
 	auxs, d1s, d2s := ec.auxs, ec.d1s, ec.d2s
 	fixed := []sat.Lit{r1, r2}
-	if e.opt.SimBank {
-		// Feasibility holds; from here to cube enumeration the clause
-		// set is frozen, so models of later Sat queries can be banked
-		// and replayed against any assumption-only re-solve. Watch
-		// everything those queries assume or read back.
-		watch := make([]sat.Lit, 0, 2+3*len(divs))
-		watch = append(watch, r1, r2)
-		watch = append(watch, auxs...)
-		watch = append(watch, d1s...)
-		watch = append(watch, d2s...)
-		e.winBank = sim.NewModelBank(watch, simModelBankMax)
-		e.winEqs = make(map[sat.Var][2]sat.Lit, len(auxs))
-		for j, a := range auxs {
-			e.winEqs[a.Var()] = [2]sat.Lit{d1s[j], d2s[j]}
-		}
+	// Feasibility holds; from here to cube enumeration the clause set
+	// is frozen, so models of later Sat queries can be banked and
+	// replayed against any assumption-only re-solve. Watch everything
+	// those queries assume or read back.
+	watch := make([]sat.Lit, 0, 2+3*len(divs))
+	watch = append(watch, r1, r2)
+	watch = append(watch, auxs...)
+	watch = append(watch, d1s...)
+	watch = append(watch, d2s...)
+	e.winBank = sim.NewModelBank(watch, simModelBankMax)
+	e.winEqs = make(map[sat.Var][2]sat.Lit, len(auxs))
+	for j, a := range auxs {
+		e.winEqs[a.Var()] = [2]sat.Lit{d1s[j], d2s[j]}
 	}
 	// Capture the analyze_final core now; later Solve calls clobber it.
 	coreIdx := e.coreSupport(s, auxs)

@@ -10,10 +10,10 @@ import (
 	"ecopatch/internal/sim"
 )
 
-// This file is the engine side of the bit-parallel simulation layer
-// (Options.SimBank / Options.SimPrune): harvesting models and
-// counterexamples into the cross-window pattern pool, banking window
-// models for SAT-call elision, and simulation-guided divisor pruning.
+// This file is the engine side of the bit-parallel simulation layer:
+// harvesting models and counterexamples into the cross-window pattern
+// pool, banking window models for SAT-call elision, and
+// simulation-guided divisor pruning.
 
 const (
 	// simModelBankMax caps banked models per window; support selection
@@ -39,8 +39,6 @@ const (
 	// divisor, which is always safe.
 	simPruneProofBudget = 10000
 )
-
-func (e *engine) simEnabled() bool { return e.opt.SimBank || e.opt.SimPrune }
 
 // addPattern pools one full working-AIG input assignment (indexed by
 // PI position). While a window is being computed its patterns are also
@@ -94,12 +92,9 @@ func (e *engine) bankModel(m sim.Model) {
 
 // harvestPIs pools the two input patterns a model of the two-copy
 // encoding exposes (one per copy). Unencoded PIs — outside the
-// window's cones — read as false; nil vectors mean simulation is off.
+// window's cones — read as false.
 func (e *engine) harvestPIs(m sim.Model) {
 	for _, pis := range [][]sat.Lit{e.winPIs1, e.winPIs2} {
-		if pis == nil {
-			continue
-		}
 		assign := make([]bool, len(pis))
 		for i, l := range pis {
 			if l != sat.LitUndef {
@@ -134,11 +129,17 @@ func (e *engine) capturePIs(enc *cnf.Encoder) []sat.Lit {
 // patch function space over the pruned set equals the full set's up to
 // cost-preserving substitution. A refuted candidate stays, and its
 // counterexample joins the pattern pool, sharpening later signatures.
-// Returns nil when pruning is off, the set is small, or nothing was
-// dropped; the caller falls back to the full set when the pruned set
-// proves insufficient, so this is purely a filter.
+// Returns nil when the set is small or nothing was dropped; the caller
+// falls back to the full set when the pruned set proves insufficient,
+// so this is purely a filter.
+//
+// All of one call's proofs run on a single incremental checker, so the
+// window's cones are encoded once and learnt clauses carry over from
+// candidate to candidate. The checker lives exactly as long as the
+// call: a checker shared across windows would let a window-cache hit
+// change a later window's proof history, and so its budget outcomes.
 func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
-	if !e.opt.SimPrune || len(divs) < simPruneMinDivs {
+	if len(divs) < simPruneMinDivs {
 		return nil
 	}
 	// Analyze-final reads the support straight off the feasibility
@@ -162,25 +163,23 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	nPI := e.w.NumPIs()
 
 	var rounds [][]uint64
-	if e.patterns != nil {
-		nb := e.patterns.Rounds()
-		if nb > simPruneBankRounds {
-			nb = simPruneBankRounds
+	nb := e.patterns.Rounds()
+	if nb > simPruneBankRounds {
+		nb = simPruneBankRounds
+	}
+	for r := 0; r < nb; r++ {
+		ws := make([]uint64, nPI)
+		for p := 0; p < nPI; p++ {
+			ws[p] = e.patterns.Word(p, r)
 		}
-		for r := 0; r < nb; r++ {
-			ws := make([]uint64, nPI)
-			for p := 0; p < nPI; p++ {
-				ws[p] = e.patterns.Word(p, r)
+		// Top up a partly-filled word with random bits so it still
+		// discriminates beyond the pooled patterns.
+		if valid := e.patterns.Patterns() - r*64; valid < 64 {
+			for p := range ws {
+				ws[p] |= rng.Uint64() << uint(valid)
 			}
-			// Top up a partly-filled word with random bits so it still
-			// discriminates beyond the pooled patterns.
-			if valid := e.patterns.Patterns() - r*64; valid < 64 {
-				for p := range ws {
-					ws[p] |= rng.Uint64() << uint(valid)
-				}
-			}
-			rounds = append(rounds, ws)
 		}
+		rounds = append(rounds, ws)
 	}
 	for r := 0; r < simPruneRandRounds; r++ {
 		rounds = append(rounds, e.w.RandomSimWords(rng))
@@ -197,6 +196,22 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 		}
 	}
 
+	var pc *cec.PairChecker
+	prove := func(a, b aig.Lit) bool {
+		if pc == nil {
+			pc = cec.NewPairChecker(e.w, cec.CheckOptions{
+				ConfBudget: simPruneProofBudget,
+				OnSolver:   e.group.add,
+			})
+		}
+		equal, cex, err := pc.CheckPair(a, b)
+		if cex != nil {
+			e.addPattern(cex)
+		}
+		// ErrGaveUp (budget or deadline) keeps the divisor.
+		return err == nil && equal
+	}
+
 	type rep struct {
 		edge aig.Lit
 		sg   []uint64
@@ -211,7 +226,7 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 			if len(sg) > 0 && sg[0] == ^uint64(0) {
 				c = aig.ConstTrue
 			}
-			if e.proveEqual(d.edge, c) {
+			if prove(d.edge, c) {
 				constant++
 				continue
 			}
@@ -228,7 +243,7 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 			if !rawEqual(prev.sg, sg) {
 				other = other.Not()
 			}
-			if e.proveEqual(d.edge, other) {
+			if prove(d.edge, other) {
 				dup = true
 				break
 			}
@@ -246,29 +261,6 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	e.logf("target %s: sim pruning %d/%d divisors (%d constant, %d duplicate, all SAT-proven) over %d patterns",
 		e.targets[i], len(divs)-len(kept), len(divs), constant, dups, len(rounds)*64)
 	return kept
-}
-
-// proveEqual reports whether two window edges are functionally
-// equivalent, via a conflict-budgeted equivalence check that shares the
-// engine's solve cache and interrupt group. A
-// refuting counterexample is pooled as a simulation pattern; Unknown
-// (budget or deadline) reports false, which keeps the divisor.
-func (e *engine) proveEqual(a, b aig.Lit) bool {
-	res, err := cec.CheckLitsOpt(e.w, []aig.Lit{a}, []aig.Lit{b}, cec.CheckOptions{
-		ConfBudget: simPruneProofBudget,
-		OnSolver:   e.group.add,
-		Cache:      e.solveCache(),
-	})
-	e.stats.CacheHits += res.CacheHits
-	e.stats.CacheMisses += res.CacheMisses
-	e.stats.CacheCollisions += res.CacheCollisions
-	if err != nil || !res.Equivalent {
-		if err == nil && res.Counterexample != nil {
-			e.addPattern(res.Counterexample)
-		}
-		return false
-	}
-	return true
 }
 
 // rawEqual reports bitwise equality of two equal-length signatures.

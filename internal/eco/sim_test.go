@@ -1,26 +1,21 @@
 package eco
 
 import (
+	"context"
 	"testing"
 
+	"ecopatch/internal/aig"
 	"ecopatch/internal/cache"
 )
 
-// simOptions turns both simulation mechanisms on over base.
-func simOptions(base Options) Options {
-	base.SimBank = true
-	base.SimPrune = true
-	return base
-}
-
-// TestSimSerialReproducible pins that a sim-on run at Parallelism=1 is
-// deterministic against itself: elision and pruning are driven by
-// banked models and a per-window seeded RNG, never by wall clock or
-// map order.
+// TestSimSerialReproducible pins that a run at Parallelism=1 is
+// deterministic against itself with the simulation layer in the loop:
+// elision and pruning are driven by banked models and a per-window
+// seeded RNG, never by wall clock or map order.
 func TestSimSerialReproducible(t *testing.T) {
 	for name, tc := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
-			opt := simOptions(tc.opt)
+			opt := tc.opt
 			opt.Parallelism = 1
 			var snaps []string
 			for run := 0; run < 2; run++ {
@@ -34,100 +29,22 @@ func TestSimSerialReproducible(t *testing.T) {
 				snaps = append(snaps, snapshotResult(res))
 			}
 			if snaps[0] != snaps[1] {
-				t.Fatalf("sim-on run not reproducible:\nrun0:\n%s\nrun1:\n%s", snaps[0], snaps[1])
+				t.Fatalf("run not reproducible:\nrun0:\n%s\nrun1:\n%s", snaps[0], snaps[1])
 			}
 		})
-	}
-}
-
-// TestSimVerdictCostParity pins the soundness contract of the
-// simulation layer: sim-on and sim-off runs agree on the verdicts
-// (feasible, verified) and the patch cost — elision preserves every
-// query's status and pruning only ever succeeds on UNSAT subsets, so
-// the selected support cost cannot change. Patch structure may differ;
-// both patches must verify.
-func TestSimVerdictCostParity(t *testing.T) {
-	for name, tc := range parallelCases(t) {
-		t.Run(name, func(t *testing.T) {
-			base := tc.opt
-			base.Parallelism = 1
-			off, err := Solve(tc.inst, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			on, err := Solve(tc.inst, simOptions(base))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if on.Feasible != off.Feasible || on.Verified != off.Verified {
-				t.Fatalf("verdict diverged: sim-on %v/%v sim-off %v/%v",
-					on.Feasible, on.Verified, off.Feasible, off.Verified)
-			}
-			if on.TotalCost != off.TotalCost {
-				t.Fatalf("patch cost diverged: sim-on %d sim-off %d", on.TotalCost, off.TotalCost)
-			}
-			if on.Verified {
-				ok, err := VerifyPatch(tc.inst, on.Patch)
-				if err != nil || !ok {
-					t.Fatalf("sim-on patch fails standalone verification: ok=%v err=%v", ok, err)
-				}
-			}
-			if got := on.Stats.SimElided + on.Stats.SimPatterns; got == 0 {
-				t.Logf("note: no sim activity on %s (tiny window)", name)
-			}
-		})
-	}
-}
-
-// TestSimOptionsKeySeparation pins that window-cache keys separate the
-// simulation modes: a sim-pruned window may cache a different (equally
-// valid) patch than a sim-off one, so their entries must never collide.
-func TestSimOptionsKeySeparation(t *testing.T) {
-	mk := func(opt Options) []uint64 {
-		e := &engine{opt: opt}
-		return e.appendOptionsKey(nil)
-	}
-	base := DefaultOptions()
-	base.Parallelism = 1
-	keys := map[string][]uint64{}
-	for name, opt := range map[string]Options{
-		"off":   base,
-		"bank":  func() Options { o := base; o.SimBank = true; return o }(),
-		"prune": func() Options { o := base; o.SimPrune = true; return o }(),
-		"both":  simOptions(base),
-	} {
-		keys[name] = mk(opt)
-	}
-	eq := func(a, b []uint64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for a, ka := range keys {
-		for b, kb := range keys {
-			if a != b && eq(ka, kb) {
-				t.Fatalf("options key does not separate %q from %q", a, b)
-			}
-		}
 	}
 }
 
 // TestSimCacheDeterminism extends the cache determinism contract to
-// sim-on runs: uncached, cold-cache, and warm-cache runs must be
-// bit-for-bit identical at Parallelism=1. This exercises the two
+// the simulation layer: uncached, cold-cache, and warm-cache runs must
+// be bit-for-bit identical at Parallelism=1. This exercises the two
 // purity mechanisms — the pattern pool folded into window keys and the
 // per-entry pattern replay on hits — without which a warm run's pool
 // (and so its pruning) would diverge from a cold one's.
 func TestSimCacheDeterminism(t *testing.T) {
 	for name, tc := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
-			base := simOptions(tc.opt)
+			base := tc.opt
 			base.Parallelism = 1
 
 			ref, err := Solve(tc.inst, base)
@@ -154,8 +71,47 @@ func TestSimCacheDeterminism(t *testing.T) {
 				}
 			}
 			if warmHits == 0 {
-				t.Fatal("warm sim-on runs never hit the cache")
+				t.Fatal("warm runs never hit the cache")
 			}
 		})
+	}
+}
+
+// TestPruneOneSolverPerWindow pins that divisor pruning proves all of
+// one window's candidate drops on a single incremental solver: a
+// divisor set with several constant and duplicate members registers
+// exactly one solver, and every redundant member is dropped.
+func TestPruneOneSolverPerWindow(t *testing.T) {
+	inst := mustInstance(t, implAndTarget, specAndOr, nil)
+	e := &engine{inst: inst, opt: DefaultOptions(), ctx: context.Background(), res: &Result{}}
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
+	}
+	w := e.w
+	a, b := w.PI(e.xPIs[0]), w.PI(e.xPIs[1])
+	ab, anb, nab := w.And(a, b), w.And(a, b.Not()), w.And(a.Not(), b)
+	or := w.Or(a, b)
+	var divs []divisor
+	add := func(edges ...aig.Lit) {
+		for _, l := range edges {
+			divs = append(divs, divisor{name: string(rune('a' + len(divs))), edge: l, cost: len(divs)})
+		}
+	}
+	add(a, b, ab, anb, nab, or)                                        // pairwise distinct up to complement
+	add(w.And(a, ab), w.And(b, ab), w.Or(a, ab).Not())                 // duplicates of ab, ab, ¬a
+	add(w.And(ab, a.Not()), w.And(anb, b), w.Or(or, w.Or(a, b.Not()))) // false, false, true
+
+	m := e.group.mark()
+	kept := e.pruneDivisors(0, divs)
+	if got := len(e.group.solvers) - m; got != 1 {
+		t.Fatalf("pruning registered %d solvers, want 1", got)
+	}
+	if len(kept) != 6 {
+		t.Fatalf("pruning kept %d of %d divisors, want the 6 distinct ones: %+v", len(kept), len(divs), kept)
+	}
+	for j, d := range kept {
+		if d != divs[j] {
+			t.Fatalf("kept[%d] = %+v, want %+v", j, d, divs[j])
+		}
 	}
 }

@@ -66,12 +66,12 @@ func (a *arena) free(c CRef) {
 	a.wasted += claLits + uint32(a.size(c))
 }
 
-func (a *arena) size(c CRef) int     { return int(a.data[c] >> 2) }
+func (a *arena) size(c CRef) int      { return int(a.data[c] >> 2) }
 func (a *arena) isLearnt(c CRef) bool { return a.data[c]&flagLearnt != 0 }
 
 func (a *arena) id(c CRef) int32 { return int32(a.data[c+claID]) }
 
-func (a *arena) act(c CRef) float32      { return math.Float32frombits(a.data[c+claAct]) }
+func (a *arena) act(c CRef) float32       { return math.Float32frombits(a.data[c+claAct]) }
 func (a *arena) setAct(c CRef, f float32) { a.data[c+claAct] = math.Float32bits(f) }
 
 func (a *arena) lbd(c CRef) uint32       { return a.data[c+claLBD] }

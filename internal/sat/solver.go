@@ -137,6 +137,7 @@ type Solver struct {
 
 	analyzeStack []Lit
 	analyzeToClr []Lit
+	learntTmp    []Lit // analyze's learnt clause, reused across conflicts
 	addTmp       []Lit
 
 	Stats Stats
@@ -654,9 +655,10 @@ func (s *Solver) computeLBD(lits []Lit) uint32 {
 
 // analyze derives a first-UIP learnt clause from the conflict, the
 // backtrack level, and the clause's LBD at learning time. The learnt
-// slice is owned by the caller.
+// slice is the solver's learntTmp scratch buffer, valid until the next
+// analyze: recordLearnt copies it into the arena.
 func (s *Solver) analyze(confl CRef) (learnt []Lit, btLevel int32, lbd uint32) {
-	learnt = append(learnt, LitUndef) // placeholder for the asserting literal
+	learnt = append(s.learntTmp[:0], LitUndef) // placeholder for the asserting literal
 	var p Lit = LitUndef
 	idx := len(s.trail) - 1
 	pathC := 0
@@ -758,6 +760,7 @@ func (s *Solver) analyze(confl CRef) (learnt []Lit, btLevel int32, lbd uint32) {
 		chain, pivots = s.resolveZeroCone(chain, pivots)
 		s.proof.addLearnt(learnt, chain, pivots)
 	}
+	s.learntTmp = learnt
 	return learnt, btLevel, lbd
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestRemovedPrepOptionIgnored pins wire compatibility for the
-// removed "preprocess" and "rewrite" job options: old clients and
+// removed "preprocess", "rewrite" and "sim" job options: old clients and
 // persisted requests still send them, so a raw submission carrying
 // them is accepted and solved with the fields ignored — also next to
 // patch "interp", a combination "preprocess" used to reject.
@@ -33,6 +33,9 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 		{`{"preprocess": true, "patch": "interp"}`, eco.PatchInterpolation},
 		{`{"rewrite": true}`, eco.PatchCubeEnum},
 		{`{"preprocess": true, "rewrite": true}`, eco.PatchCubeEnum},
+		{`{"sim": true}`, eco.PatchCubeEnum},
+		{`{"sim": false}`, eco.PatchCubeEnum},
+		{`{"preprocess": true, "sim": true, "rewrite": true}`, eco.PatchCubeEnum},
 	} {
 		body, err := json.Marshal(map[string]any{
 			"name": "tiny", "impl": implSrc, "spec": specSrc, "options": json.RawMessage(tc.options),

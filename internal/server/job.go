@@ -84,10 +84,6 @@ type JobOptions struct {
 	// pool. 0 means 1 — the daemon keeps jobs serial by default so one
 	// job cannot monopolize the workers.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Sim enables the bit-parallel simulation layer (pattern-bank SAT
-	// call elision + divisor pruning) for the job. Absent takes the
-	// server default (-sim).
-	Sim *bool `json:"sim,omitempty"`
 }
 
 // Eco materializes the engine options, starting from DefaultOptions.
@@ -141,9 +137,6 @@ func (o JobOptions) Eco() (eco.Options, error) {
 	// The zero value is normalized to 1 at submission (serial daemon
 	// default), then clamped to the CPU-slot pool.
 	opt.Parallelism = o.Parallelism
-	if o.Sim != nil {
-		opt.SimBank, opt.SimPrune = *o.Sim, *o.Sim
-	}
 	return opt, nil
 }
 

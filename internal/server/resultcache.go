@@ -37,7 +37,7 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 			h.Write([]byte{0})
 		}
 	}
-	ws("ecod-digest@v3")
+	ws("ecod-digest@v4")
 	ws(req.Impl)
 	ws(req.Spec)
 	ws(req.Weights)
@@ -54,8 +54,6 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 	wi(int64(opt.MaxQuantExpand))
 	wi(int64(opt.Timeout / time.Nanosecond))
 	wi(int64(opt.Parallelism))
-	wb(opt.SimBank)
-	wb(opt.SimPrune)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

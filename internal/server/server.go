@@ -50,10 +50,6 @@ type Config struct {
 	// ResultsDir, when set, persists every finished job's result as
 	// <dir>/<id>.json, written atomically.
 	ResultsDir string
-	// DefaultSim enables the bit-parallel simulation layer (pattern
-	// bank + divisor pruning) for jobs that leave "sim" unset
-	// (ecod serve -sim).
-	DefaultSim bool
 	// DataDir, when set, enables crash-safe persistence: job
 	// transitions are appended to a segment log in this directory and
 	// replayed on the next boot — finished jobs stay
@@ -446,9 +442,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if opt.Timeout == 0 {
 		opt.Timeout = s.cfg.DefaultTimeout
-	}
-	if req.Options.Sim == nil && s.cfg.DefaultSim {
-		opt.SimBank, opt.SimPrune = true, true
 	}
 	if s.cfg.MaxTimeout > 0 && (opt.Timeout == 0 || opt.Timeout > s.cfg.MaxTimeout) {
 		opt.Timeout = s.cfg.MaxTimeout

@@ -138,6 +138,40 @@ func TestEndToEndRealSolve(t *testing.T) {
 	_ = s
 }
 
+// TestSimMetricsSurface pins that the simulation counters of finished
+// jobs are summed into /metrics.
+func TestSimMetricsSurface(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	s.solve = func(ctx context.Context, inst *eco.Instance, opt eco.Options) (*eco.Result, error) {
+		res := &eco.Result{Feasible: true, Verified: true}
+		res.Stats.SimElided = 7
+		res.Stats.SimPruned = 3
+		res.Stats.SimPatterns = 11
+		return res, nil
+	}
+	ctx := context.Background()
+	st, err := c.Submit(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, st.ID, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"ecod_sim_elided_total":          7,
+		"ecod_sim_pruned_divisors_total": 3,
+		"ecod_sim_patterns_total":        11,
+	} {
+		if got := metricValue(t, text, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 func TestQueueFullSheds429(t *testing.T) {
 	started := make(chan string, 4)
 	release := make(chan struct{})

@@ -30,15 +30,16 @@ type Model interface {
 // enumeration boundary).
 type ModelBank struct {
 	rows map[sat.Var]int
-	vars []sat.Var // row order
-	bits [][]uint64
-	n    int // banked models
+	vars []sat.Var  // row order
+	bits [][]uint64 // per row, one word per started 64-model block
+	n    int        // banked models
 	max  int
 }
 
 // NewModelBank builds a bank watching the variables of the given
 // literals (polarity is resolved per query), holding at most max
-// models.
+// models. Rows start empty and grow one word per 64 banked models, so
+// a bank that sees few models stays small whatever its cap.
 func NewModelBank(watch []sat.Lit, max int) *ModelBank {
 	b := &ModelBank{rows: make(map[sat.Var]int, len(watch)), max: max}
 	for _, l := range watch {
@@ -49,11 +50,7 @@ func NewModelBank(watch []sat.Lit, max int) *ModelBank {
 		b.rows[v] = len(b.vars)
 		b.vars = append(b.vars, v)
 	}
-	words := (max + 63) / 64
 	b.bits = make([][]uint64, len(b.vars))
-	for r := range b.bits {
-		b.bits[r] = make([]uint64, words)
-	}
 	return b
 }
 
@@ -68,6 +65,9 @@ func (b *ModelBank) Add(m Model) bool {
 	}
 	w, bit := b.n/64, uint(b.n%64)
 	for r, v := range b.vars {
+		if bit == 0 {
+			b.bits[r] = append(b.bits[r], 0)
+		}
 		if m.ModelBool(sat.PosLit(v)) {
 			b.bits[r][w] |= 1 << bit
 		}

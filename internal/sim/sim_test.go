@@ -55,10 +55,17 @@ func TestModelBankCapacityAndWordBoundary(t *testing.T) {
 	watch := []sat.Lit{sat.PosLit(0)}
 	const max = 130 // spans three words
 	b := NewModelBank(watch, max)
+	if got := len(b.bits[0]); got != 0 {
+		t.Fatalf("empty bank row holds %d words, want 0", got)
+	}
 	for i := 0; i < max; i++ {
 		// Only the last pattern sets v0.
 		if !b.Add(fixedModel{i == max-1}) {
 			t.Fatalf("Add %d refused below capacity", i)
+		}
+		// Rows grow one word per started 64-model block, not to the cap.
+		if got, want := len(b.bits[0]), i/64+1; got != want {
+			t.Fatalf("after %d models the row holds %d words, want %d", i+1, got, want)
 		}
 	}
 	if b.Add(fixedModel{true}) {

@@ -1,10 +1,12 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, full tests, and a race pass over
-# every package. Run from the repository root.
+# Tier-1 verification: build, vet, formatting, full tests, and a race
+# pass over every package. Run from the repository root.
 set -eux
 
 go build ./...
 go vet ./...
+# Every Go file must be gofmt-clean.
+test -z "$(gofmt -l .)"
 go test ./...
 
 # One race pass over every package: the concurrency layer (solver
