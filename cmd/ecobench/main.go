@@ -18,7 +18,7 @@
 //	ecobench [-mode table1|copies|mincalls|patchcmp] [-scale N]
 //	         [-unit unitK] [-units unitK,unitL,...]
 //	         [-modes baseline,minassume,exact]
-//	         [-j N] [-p N] [-timeout 30s] [-cache N] [-warm]
+//	         [-j N] [-timeout 30s] [-cache N] [-warm]
 //	         [-json report.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -51,7 +51,6 @@ func realMain() int {
 		units      = flag.String("units", "", "restrict table1 to a comma-separated list of units (e.g. unit3,unit7)")
 		modesStr   = flag.String("modes", strings.Join(bench.Modes, ","), "table1 algorithm columns")
 		jobs       = flag.Int("j", 1, "worker goroutines for the table1 sweep")
-		par        = flag.Int("p", 1, "intra-solve parallelism per cell (SAT portfolio + sharded verification); 1 = serial deterministic engine")
 		timeout    = flag.Duration("timeout", 0, "per-(unit,mode) deadline for table1 cells (0 = none)")
 		cacheEnt   = flag.Int("cache", 0, "attach a shared solve/window cache of N entries to the table1 sweep (0 = off)")
 		warm       = flag.Bool("warm", false, "run table1 twice against one cache (cold then warm) and report the speedup")
@@ -102,7 +101,7 @@ func realMain() int {
 				run   func() error
 			}{
 				{"Table 1", func() error {
-					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *jsonPath)
+					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *cacheEnt, *warm, *jsonPath)
 				}},
 				{"E5: minimize_assumptions SAT calls (§3.4.1)", func() error { return bench.RunMinCalls(os.Stdout) }},
 				{"E6: miter copies for structural multi-target (§3.6.2)", func() error { return bench.RunCopies(*scale, os.Stdout) }},
@@ -115,7 +114,7 @@ func realMain() int {
 				fmt.Println()
 			}
 		case "table1":
-			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *par, *timeout, *cacheEnt, *warm, *jsonPath)
+			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *cacheEnt, *warm, *jsonPath)
 		case "copies":
 			err = bench.RunCopies(*scale, os.Stdout)
 		case "mincalls":
@@ -176,10 +175,9 @@ func parseUnits(unit, units string) []string {
 	return out
 }
 
-func runTable1(scale int, units []string, modes []string, jobs, par int, timeout time.Duration, cacheEnt int, warm bool, jsonPath string) error {
+func runTable1(scale int, units []string, modes []string, jobs int, timeout time.Duration, cacheEnt int, warm bool, jsonPath string) error {
 	opts := bench.RunOptions{
-		Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout,
-		Parallelism: par, CacheEntries: cacheEnt,
+		Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout, CacheEntries: cacheEnt,
 	}
 	opts.Units = units
 	var rep bench.JSONReport

@@ -2,7 +2,7 @@
 //
 // Server:
 //
-//	ecod serve [-addr :8080] [-workers N] [-cpu-slots N] [-queue N]
+//	ecod serve [-addr :8080] [-workers N] [-queue N]
 //	           [-max-jobs N] [-default-timeout 0] [-max-timeout 0]
 //	           [-results-dir DIR] [-data-dir DIR] [-drain-grace 10s]
 //	           [-cache-entries 256]
@@ -16,7 +16,7 @@
 //
 //	ecod submit  -server URL (-dir DIR | -unit unitK [-scale N])
 //	             [-name S] [-support minimize|final|exact]
-//	             [-patch cubes|interp] [-budget N] [-p N]
+//	             [-patch cubes|interp] [-budget N]
 //	             [-timeout 30s] [-wait] [-o patch.v]
 //	ecod status  -server URL ID
 //	ecod wait    -server URL ID [-poll 200ms] [-o patch.v]
@@ -94,7 +94,6 @@ func cmdServe(args []string) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 0, "solve workers (0 = GOMAXPROCS)")
-		cpuSlots   = fs.Int("cpu-slots", 0, "CPU slots shared by all jobs; bounds workers x intra-job threads (0 = max(GOMAXPROCS, workers))")
 		queueCap   = fs.Int("queue", 64, "admission queue capacity")
 		maxJobs    = fs.Int("max-jobs", 1024, "retained jobs before oldest finished are evicted")
 		defTimeout = fs.Duration("default-timeout", 0, "deadline for jobs that set none (0 = unbounded)")
@@ -114,7 +113,6 @@ func cmdServe(args []string) error {
 	}
 	srv, err := server.New(server.Config{
 		Workers:        *workers,
-		CPUSlots:       *cpuSlots,
 		QueueCap:       *queueCap,
 		MaxJobs:        *maxJobs,
 		DefaultTimeout: *defTimeout,
@@ -175,7 +173,6 @@ func cmdSubmit(args []string) error {
 		support = fs.String("support", "", "support algorithm: final, minimize, exact")
 		patchA  = fs.String("patch", "", "patch computation: cubes, interp")
 		budget  = fs.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
-		par     = fs.Int("p", 0, "intra-solve parallelism for this job (0 = serial daemon default)")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 		wait    = fs.Bool("wait", false, "poll the job to completion and print the result")
 		out     = fs.String("o", "", "with -wait: write the patch netlist here ('-' for stdout)")
@@ -195,11 +192,10 @@ func cmdSubmit(args []string) error {
 		req.Name = *name
 	}
 	req.Options = server.JobOptions{
-		Support:     *support,
-		Patch:       *patchA,
-		ConfBudget:  *budget,
-		TimeoutSec:  timeout.Seconds(),
-		Parallelism: *par,
+		Support:    *support,
+		Patch:      *patchA,
+		ConfBudget: *budget,
+		TimeoutSec: timeout.Seconds(),
 	}
 
 	c := &server.Client{Base: *base, MaxRetries: *retries}

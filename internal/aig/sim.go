@@ -4,9 +4,8 @@ import "math/rand"
 
 // Evaluator computes node values for single input assignments with a
 // reusable buffer. One Eval pass makes every node readable through
-// Lit, so callers probing many edges against one assignment (the
-// sharded CEC merge path evaluating a counterexample against every
-// output pair) pay the O(nodes) walk once instead of per edge — and
+// Lit, so callers probing many edges against one assignment (CEC
+// evaluating a counterexample against every output pair) pay the O(nodes) walk once instead of per edge — and
 // repeated assignments reuse the buffer instead of allocating one per
 // call. An Evaluator is single-goroutine; concurrent callers each
 // build their own (the graph itself is only read).

@@ -17,10 +17,7 @@ type JSONReport struct {
 	Scale      int      `json:"scale"`
 	Modes      []string `json:"modes"`
 	Jobs       int      `json:"jobs"`
-	// Parallelism is the per-cell intra-solve thread count (additive
-	// field; absent in pre-parallelism reports means 1).
-	Parallelism int     `json:"parallelism,omitempty"`
-	TimeoutSec  float64 `json:"timeout_sec,omitempty"`
+	TimeoutSec float64  `json:"timeout_sec,omitempty"`
 	// CacheEntries and WarmSpeedup are additive cache-run fields:
 	// the shared-cache size of the sweep (0 = no cache) and, for
 	// warm-vs-cold runs, the geomean cold/warm wall-clock ratio.
@@ -63,13 +60,6 @@ type JSONCell struct {
 	Learnts      int64 `json:"learnts"`
 	LearntEvict  int64 `json:"learnt_evicted"`
 
-	// Additive portfolio counters (present only when the cell ran
-	// with intra-solve parallelism; the schema stays table1@v1).
-	PortfolioRaces int64            `json:"portfolio_races,omitempty"`
-	PortfolioWins  map[string]int64 `json:"portfolio_wins,omitempty"`
-	SharedOut      int64            `json:"sat_shared_out,omitempty"`
-	SharedIn       int64            `json:"sat_shared_in,omitempty"`
-
 	// Additive cache counters (present only when the cell ran with a
 	// solve/window cache; the schema stays table1@v1). ColdSeconds is
 	// set on warm-pass cells to the matching cold cell's wall clock.
@@ -107,11 +97,6 @@ func cellFromAlgo(a AlgoResult) JSONCell {
 		Learnts:      a.Learnts,
 		LearntEvict:  a.LearntEvict,
 
-		PortfolioRaces: a.PortfolioRaces,
-		PortfolioWins:  a.PortfolioWins,
-		SharedOut:      a.SharedOut,
-		SharedIn:       a.SharedIn,
-
 		CacheHits:       a.CacheHits,
 		CacheMisses:     a.CacheMisses,
 		CacheCollisions: a.CacheCollisions,
@@ -143,10 +128,6 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 	}
 	if rep.Jobs < 1 {
 		rep.Jobs = 1
-	}
-	rep.Parallelism = opts.Parallelism
-	if rep.Parallelism < 1 {
-		rep.Parallelism = 1
 	}
 	rep.CacheEntries = opts.CacheEntries
 	if opts.Timeout > 0 {

@@ -38,7 +38,6 @@ func TestSolverStatsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.Parallelism = 1
 		res, err := eco.Solve(inst, opt)
 		if err != nil {
 			t.Fatal(err)

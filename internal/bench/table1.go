@@ -44,13 +44,6 @@ type AlgoResult struct {
 	Learnts      int64
 	LearntEvict  int64
 
-	// Portfolio counters (zero / nil unless the cell ran with
-	// Parallelism > 1).
-	PortfolioRaces int64
-	PortfolioWins  map[string]int64
-	SharedOut      int64 // learnt clauses exported to portfolio exchanges
-	SharedIn       int64 // learnt clauses imported from portfolio exchanges
-
 	// Solve/window cache counters (zero unless the cell ran with a
 	// cache attached).
 	CacheHits       int64
@@ -119,7 +112,7 @@ func RunUnitTimeout(cfg Config, mode string, timeout time.Duration) (Table1Row, 
 }
 
 // RunUnitWith runs one (unit, mode) cell under the sweep options,
-// honoring Timeout and Parallelism.
+// honoring Timeout and Cache.
 func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	inst, err := Generate(cfg)
 	if err != nil {
@@ -139,7 +132,6 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 		return row, err
 	}
 	opt.Timeout = opts.Timeout
-	opt.Parallelism = opts.Parallelism
 	opt.Cache = opts.Cache
 	res, err := eco.Solve(inst, opt)
 	if err != nil {
@@ -174,11 +166,6 @@ func AlgoFromResult(res *eco.Result) AlgoResult {
 		Learnts:      res.Stats.Solver.Learnts,
 		LearntEvict:  res.Stats.Solver.Removed,
 
-		PortfolioRaces: res.Stats.PortfolioRaces,
-		PortfolioWins:  res.Stats.PortfolioWins,
-		SharedOut:      res.Stats.Solver.SharedOut,
-		SharedIn:       res.Stats.Solver.SharedIn,
-
 		CacheHits:       res.Stats.CacheHits,
 		CacheMisses:     res.Stats.CacheMisses,
 		CacheCollisions: res.Stats.CacheCollisions,
@@ -196,11 +183,6 @@ type RunOptions struct {
 	Jobs    int           // worker goroutines; <=1 means sequential
 	Timeout time.Duration // per-(unit,mode) cell deadline; 0 = none
 	Units   []string      // restrict to these unit names; nil = all
-	// Parallelism is the per-cell eco.Options.Parallelism (intra-solve
-	// SAT portfolio + sharded verification). <=0 means 1 — the fully
-	// deterministic serial engine — so sweep rows stay reproducible
-	// unless asked otherwise.
-	Parallelism int
 	// CacheEntries, when > 0, attaches a shared solve/window cache of
 	// that size to every cell of the sweep (ecobench -cache). Ignored
 	// when Cache is set directly.

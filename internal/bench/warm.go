@@ -19,10 +19,9 @@ type WarmRun struct {
 }
 
 // RunTable1Warm runs the sweep twice with one shared cache
-// (experiment E12). Both passes use identical options, so at
-// Parallelism=1 any verdict or cost difference between them is a
-// cache-correctness bug, not noise — callers should compare the
-// passes cell by cell.
+// (experiment E12). Both passes use identical options, so any verdict
+// or cost difference between them is a cache-correctness bug, not
+// noise — callers should compare the passes cell by cell.
 func RunTable1Warm(opts RunOptions, w io.Writer) (*WarmRun, error) {
 	if opts.Cache == nil {
 		entries := opts.CacheEntries

@@ -227,8 +227,8 @@ func (v Verdict) LitTrue(l sat.Lit) bool {
 }
 
 // solveEntry is one SolveCache record. The captured formula itself is
-// the key: capture already exists on the portfolio path, so keying by
-// it is zero-copy, and Formula.Equal is the collision screen.
+// the key, so keying by it is zero-copy, and Formula.Equal is the
+// collision screen.
 type solveEntry struct {
 	hash    uint64
 	f       *cnf.Formula

@@ -7,8 +7,6 @@ package cec
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ecopatch/internal/aig"
 	"ecopatch/internal/cache"
@@ -24,29 +22,20 @@ var ErrGaveUp = errors.New("cec: solver gave up")
 // CheckOptions tunes a single equivalence check.
 type CheckOptions struct {
 	// ConfBudget bounds SAT conflicts (<=0 means unlimited); an
-	// exceeded budget surfaces as ErrGaveUp. Under sharding the budget
-	// applies per shard. An unbudgeted check must reach a verdict, so
-	// it fraigs the miter first (Sweep over the differing cones) and
-	// solves only the pairs the sweep could not merge; a budgeted
-	// probe solves directly.
+	// exceeded budget surfaces as ErrGaveUp. An unbudgeted check must
+	// reach a verdict, so it fraigs the miter first (Sweep over the
+	// differing cones) and solves only the pairs the sweep could not
+	// merge; a budgeted probe solves directly.
 	ConfBudget int64
 	// OnSolver, when non-nil, observes every SAT solver the check
 	// creates, so callers can Interrupt a long-running check from
 	// another goroutine.
 	OnSolver func(*sat.Solver)
-	// Shards splits the differing output pairs into that many
-	// contiguous chunks checked concurrently, one solver+encoder per
-	// worker over the shared read-only miter. <=1 keeps the serial
-	// path. The verdict is deterministic: on inequivalence the
-	// counterexample always comes from the lowest-index satisfiable
-	// shard (a deciding shard only interrupts higher-index shards).
-	Shards int
-	// Cache, when non-nil, memoizes per-shard verdicts keyed by the
-	// captured CNF of the shard's diff query. A hit skips the solve
-	// entirely (the counterexample is reconstructed from the cached
-	// model); every hit is collision-screened by full formula
-	// comparison before it is trusted. Unknown verdicts are never
-	// cached.
+	// Cache, when non-nil, memoizes verdicts keyed by the captured CNF
+	// of the diff query. A hit skips the solve entirely (the
+	// counterexample is reconstructed from the cached model); every hit
+	// is collision-screened by full formula comparison before it is
+	// trusted. Unknown verdicts are never cached.
 	Cache *cache.SolveCache
 }
 
@@ -61,8 +50,8 @@ type Result struct {
 	// Conflicts is the number of SAT conflicts spent.
 	Conflicts int64
 	// Solve-cache traffic of this check (zero unless
-	// CheckOptions.Cache was set): shard verdicts served from the
-	// cache, shards solved fresh, and hash collisions screened out by
+	// CheckOptions.Cache was set): verdicts served from the cache,
+	// queries solved fresh, and hash collisions screened out by
 	// formula comparison.
 	CacheHits       int64
 	CacheMisses     int64
@@ -114,11 +103,10 @@ func CheckLitsOpt(g *aig.AIG, as, bs []aig.Lit, opt CheckOptions) (Result, error
 	return checkPairs(g, pis, as, bs, opt)
 }
 
-// checkPairs runs the SAT check "some pair differs" on a miter AIG,
-// serially or sharded across a worker pool per opt.Shards. A check
-// that must reach a verdict (no conflict budget) fraigs the miter
-// first, so only the pairs the sweep could not merge reach the final
-// query; budgeted probes solve directly.
+// checkPairs runs the SAT check "some pair differs" on a miter AIG.
+// A check that must reach a verdict (no conflict budget) fraigs the
+// miter first, so only the pairs the sweep could not merge reach the
+// final query; budgeted probes solve directly.
 func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (Result, error) {
 	// Fast path: structural hashing may already have merged each pair.
 	diff := differingPairs(t1, t2)
@@ -177,66 +165,6 @@ func sweepMiter(m *aig.AIG, t1, t2 []aig.Lit, diff []int, onSolver func(*sat.Sol
 	return sg, pis, nt1, nt2, st
 }
 
-// solvePairs decides "some pair in diff differs" with a full SAT
-// query, serially or sharded across a worker pool per opt.Shards.
-func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt CheckOptions) (Result, error) {
-	shards := opt.Shards
-	if shards > len(diff) {
-		shards = len(diff)
-	}
-	if shards <= 1 {
-		st, cex, conflicts, tally := solvePairShard(m, pis, t1, t2, diff, opt, nil)
-		return mergePairVerdicts(m, t1, t2, []sat.Status{st}, [][]bool{cex}, conflicts, tally)
-	}
-
-	// Contiguous chunks keep the merge deterministic: the verdict and
-	// counterexample come from the lowest-index satisfiable shard, so a
-	// deciding shard may only interrupt shards AFTER it.
-	bounds := make([]int, shards+1)
-	for k := 0; k <= shards; k++ {
-		bounds[k] = k * len(diff) / shards
-	}
-	// Solvers are created and registered (OnSolver) before any worker
-	// starts, so an external interruptAll never misses a member.
-	solvers := make([]*sat.Solver, shards)
-	for k := range solvers {
-		solvers[k] = sat.New()
-		if opt.ConfBudget > 0 {
-			solvers[k].SetConfBudget(opt.ConfBudget)
-		}
-		if opt.OnSolver != nil {
-			opt.OnSolver(solvers[k])
-		}
-	}
-	statuses := make([]sat.Status, shards)
-	cexs := make([][]bool, shards)
-	tallies := make([]cacheTally, shards)
-	var conflicts atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < shards; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			st, cex, confl, tl := solvePairShard(m, pis, t1, t2, diff[bounds[k]:bounds[k+1]], opt, solvers[k])
-			statuses[k] = st
-			cexs[k] = cex
-			conflicts.Add(confl)
-			tallies[k] = tl
-			if st == sat.Sat {
-				for j := k + 1; j < shards; j++ {
-					solvers[j].Interrupt()
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	var tally cacheTally
-	for _, tl := range tallies {
-		tally.add(tl)
-	}
-	return mergePairVerdicts(m, t1, t2, statuses, cexs, conflicts.Load(), tally)
-}
-
 // extractPairs copies the cones of the pair edges into a fresh graph
 // with m's PI interface (count, order, names), so counterexamples stay
 // indexed by PI position. The POs are t1 then t2, in order.
@@ -271,15 +199,9 @@ func readPairs(g *aig.AIG, n int) (pis, t1, t2 []aig.Lit) {
 	return pis, t1, t2
 }
 
-// cacheTally is per-shard solve-cache traffic.
+// cacheTally is the solve-cache traffic of one query.
 type cacheTally struct {
 	hits, misses, collisions int64
-}
-
-func (t *cacheTally) add(o cacheTally) {
-	t.hits += o.hits
-	t.misses += o.misses
-	t.collisions += o.collisions
 }
 
 // encodePairDiff Tseitin-encodes "some pair in idx differs" into
@@ -312,23 +234,21 @@ func encodePairDiff(sink cnf.Sink, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, 
 	return piLits
 }
 
-// solvePairShard decides "some pair in idx differs" with one solver
-// and encoder. s may be nil (a fresh solver is then built), and the
-// returned counterexample is indexed by PI position. With a cache
+// solvePairs decides "some pair in diff differs" with one solver and
+// encoder; the counterexample is indexed by PI position. With a cache
 // configured the encoding is captured first and a screened hit is
 // served without solving.
-func solvePairShard(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int, opt CheckOptions, s *sat.Solver) (sat.Status, []bool, int64, cacheTally) {
+func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt CheckOptions) (Result, error) {
 	var f *cnf.Formula
 	var piLits []sat.Lit
 	var tally cacheTally
 	if opt.Cache != nil {
 		f = &cnf.Formula{}
-		piLits = encodePairDiff(f, m, pis, t1, t2, idx)
-	}
-	if opt.Cache != nil {
-		if v, ok, coll := opt.Cache.Lookup(f, nil); ok {
+		piLits = encodePairDiff(f, m, pis, t1, t2, diff)
+		v, ok, coll := opt.Cache.Lookup(f, nil)
+		tally.collisions = int64(coll)
+		if ok {
 			tally.hits = 1
-			tally.collisions = int64(coll)
 			var cex []bool
 			if v.Status == sat.Sat {
 				cex = make([]bool, len(pis))
@@ -336,27 +256,22 @@ func solvePairShard(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int, opt 
 					cex[i] = v.LitTrue(piLits[i])
 				}
 			}
-			return v.Status, cex, 0, tally
-		} else {
-			tally.misses = 1
-			tally.collisions = int64(coll)
+			return pairVerdict(m, t1, t2, v.Status, cex, 0, tally)
 		}
+		tally.misses = 1
 	}
-	if s == nil {
-		s = sat.New()
-		if opt.ConfBudget > 0 {
-			s.SetConfBudget(opt.ConfBudget)
-		}
-		if opt.OnSolver != nil {
-			opt.OnSolver(s)
-		}
+	s := sat.New()
+	if opt.ConfBudget > 0 {
+		s.SetConfBudget(opt.ConfBudget)
+	}
+	if opt.OnSolver != nil {
+		opt.OnSolver(s)
 	}
 	if f != nil {
 		f.LoadInto(s)
 	} else {
-		piLits = encodePairDiff(s, m, pis, t1, t2, idx)
+		piLits = encodePairDiff(s, m, pis, t1, t2, diff)
 	}
-	before := s.Stats.Conflicts
 	st := s.Solve()
 	var cex []bool
 	if st == sat.Sat {
@@ -375,40 +290,23 @@ func solvePairShard(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int, opt 
 		}
 		opt.Cache.Insert(f, nil, cache.Verdict{Status: st, Model: model})
 	}
-	return st, cex, s.Stats.Conflicts - before, tally
+	return pairVerdict(m, t1, t2, st, cex, s.Stats.Conflicts, tally)
 }
 
-// mergePairVerdicts folds shard outcomes into one Result. Sat beats
-// everything (a counterexample is a counterexample regardless of what
-// other shards did); all-Unsat means equivalent; otherwise some shard
-// gave up with no shard finding a difference — no verdict.
-func mergePairVerdicts(m *aig.AIG, t1, t2 []aig.Lit, statuses []sat.Status, cexs [][]bool, conflicts int64, tally cacheTally) (Result, error) {
-	satShard := -1
-	allUnsat := true
-	for k, st := range statuses {
-		switch st {
-		case sat.Sat:
-			if satShard < 0 {
-				satShard = k
-			}
-			allUnsat = false
-		case sat.Unsat:
-		default:
-			allUnsat = false
-		}
-	}
-	switch {
-	case satShard >= 0:
-		res := Result{Equivalent: false, Conflicts: conflicts,
+// pairVerdict turns one diff query's outcome into a Result: Sat is a
+// counterexample, Unsat means equivalent, and Unknown (budget exhausted
+// or interrupted) is no verdict either way.
+func pairVerdict(m *aig.AIG, t1, t2 []aig.Lit, st sat.Status, cex []bool, conflicts int64, tally cacheTally) (Result, error) {
+	switch st {
+	case sat.Sat:
+		res := Result{Counterexample: cex, FailingOutput: -1, Conflicts: conflicts,
 			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}
-		res.Counterexample = cexs[satShard]
 		// Identify a failing output index by evaluation, scanning the
 		// full pair list so the lowest failing index is reported. One
 		// Eval pass covers every pair; per-pair EvalLit would redo the
 		// O(nodes) walk (and its allocation) for each output.
-		res.FailingOutput = -1
 		ev := aig.NewEvaluator(m)
-		ev.Eval(res.Counterexample)
+		ev.Eval(cex)
 		for i := range t1 {
 			if ev.Lit(t1[i]) != ev.Lit(t2[i]) {
 				res.FailingOutput = i
@@ -416,11 +314,10 @@ func mergePairVerdicts(m *aig.AIG, t1, t2 []aig.Lit, statuses []sat.Status, cexs
 			}
 		}
 		return res, nil
-	case allUnsat:
+	case sat.Unsat:
 		return Result{Equivalent: true, Conflicts: conflicts,
 			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}, nil
 	default:
-		// Budget exhausted or interrupted: no verdict either way.
 		return Result{}, ErrGaveUp
 	}
 }

@@ -14,11 +14,10 @@ import (
 // expansion of the first about a random PI, a new structure for the
 // same function, and a pair whose bit is set in the low nibble of mode
 // gets one cofactor XORed with a random node, which usually breaks the
-// equivalence. The high bits of mode pick the solve route: two shards
-// (0x10) and a solve cache (0x80); 0x20 and 0x40 are unused. The
-// verdict must match the simulation, a counterexample must distinguish
-// some pair, and FailingOutput must be the lowest pair it
-// distinguishes.
+// equivalence. Bit 0x80 of mode attaches a solve cache; 0x10, 0x20
+// and 0x40 are unused. The verdict must match the simulation, a
+// counterexample must distinguish some pair, and FailingOutput must be
+// the lowest pair it distinguishes.
 func FuzzCheckLits(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(seed*37), uint8(seed), uint8(seed*23))
@@ -60,9 +59,6 @@ func FuzzCheckLits(f *testing.F) {
 		}
 
 		var opt CheckOptions
-		if mode&0x10 != 0 {
-			opt.Shards = 2
-		}
 		if mode&0x80 != 0 {
 			opt.Cache = cache.NewSolveCache(16)
 		}

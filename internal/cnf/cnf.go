@@ -12,8 +12,7 @@ import (
 
 // Sink receives the variables and clauses an Encoder emits. It is the
 // subset of *sat.Solver the encoder needs, so a Formula can capture an
-// encoding once and replay it into K portfolio members instead of
-// re-encoding the cone K times.
+// encoding (the solve cache's key) and replay it into a solver.
 type Sink interface {
 	NewVar() sat.Var
 	AddClause(lits ...sat.Lit) bool

@@ -3,14 +3,14 @@ package cnf
 import "ecopatch/internal/sat"
 
 // Formula records the variable/clause traffic of an encoding so one
-// Tseitin pass can be replayed into several solvers (the portfolio
-// path: encode once, load K times). It implements Sink, so it drops in
-// wherever an Encoder would write straight into a solver.
+// Tseitin pass can serve as a solve-cache key and be replayed into a
+// solver. It implements Sink, so it drops in wherever an Encoder would
+// write straight into a solver.
 //
 // Variable numbering is positional: the i-th NewVar call returns
 // Var(i), and LoadInto replays the calls in order, so every solver
 // loaded from the same Formula sees identical literal numbering — the
-// property that lets a portfolio winner's model or core be read with
+// property that lets a solver's model, or a cached one, be read with
 // the literals handed out during capture.
 type Formula struct {
 	nVars int

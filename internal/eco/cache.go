@@ -126,10 +126,7 @@ func appendConeKey(buf []uint64, g *aig.AIG, roots []aig.Lit) []uint64 {
 }
 
 // appendOptionsKey fingerprints every option that can change what a
-// window computes. The serial bit separates Parallelism==1 entries
-// from parallel ones: serial runs must stay bit-for-bit reproducible
-// and may not hit entries a parallel run produced (parallel patches
-// verify but may differ from the serial ones).
+// window computes.
 func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
 	o := e.opt
 	flags := uint64(0)
@@ -142,8 +139,7 @@ func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
 	set(1, o.CEGARMin)
 	set(2, o.FunctionalMatch)
 	set(3, o.ForceStructural)
-	set(4, e.par() == 1)
-	// Bits 5-8 are unused.
+	// Bits 4-8 are unused.
 	return append(buf,
 		uint64(o.Support), uint64(o.Patch), flags,
 		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),

@@ -15,16 +15,14 @@ func snapshotResult(res *Result) string {
 		res.Feasible, res.Verified, res.TotalCost, res.TotalGates, res.Patches, res.Patch)
 }
 
-// TestCacheDeterminism pins the tentpole contract: at Parallelism=1 a
-// run with an empty cache, a run reusing a warm cache, and a run with
-// no cache at all are bit-for-bit identical — cache hits change wall
-// clock only, never verdicts, costs, or netlists.
+// TestCacheDeterminism pins the cache contract: a run with an empty
+// cache, a run reusing a warm cache, and a run with no cache at all are
+// bit-for-bit identical — cache hits change wall clock only, never
+// verdicts, costs, or netlists.
 func TestCacheDeterminism(t *testing.T) {
 	for name, tc := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
 			base := tc.opt
-			base.Parallelism = 1
-
 			// Reference: no cache.
 			ref, err := Solve(tc.inst, base)
 			if err != nil {
@@ -70,39 +68,6 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 }
 
-// TestCacheSerialParallelSeparation pins the options-key rule that a
-// serial run never consumes entries produced by a parallel run: the
-// serial pass after a parallel pass must still be identical to the
-// uncached serial reference.
-func TestCacheSerialParallelSeparation(t *testing.T) {
-	tc := parallelCases(t)["multi"]
-	base := tc.opt
-	base.Parallelism = 1
-	ref, err := Solve(tc.inst, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotResult(ref)
-
-	c := cache.New(1024)
-	par := base
-	par.Parallelism = 2
-	par.Cache = c
-	if _, err := Solve(tc.inst, par); err != nil {
-		t.Fatal(err)
-	}
-
-	serial := base
-	serial.Cache = c
-	res, err := Solve(tc.inst, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotResult(res); got != want {
-		t.Fatalf("serial run after parallel warm-up diverged:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-}
-
 // TestCacheSharedAcrossInstances runs two different instances through
 // one cache: entries of one must never leak into the other.
 func TestCacheSharedAcrossInstances(t *testing.T) {
@@ -110,9 +75,7 @@ func TestCacheSharedAcrossInstances(t *testing.T) {
 	c := cache.New(1024)
 	want := make(map[string]string)
 	for name, tc := range cases {
-		opt := tc.opt
-		opt.Parallelism = 1
-		res, err := Solve(tc.inst, opt)
+		res, err := Solve(tc.inst, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +86,6 @@ func TestCacheSharedAcrossInstances(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for name, tc := range cases {
 			opt := tc.opt
-			opt.Parallelism = 1
 			opt.Cache = c
 			res, err := Solve(tc.inst, opt)
 			if err != nil {

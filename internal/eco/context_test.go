@@ -96,7 +96,6 @@ and  (w3, w1, w2);
 xor  (f, w3, c);
 endmodule`, nil)
 	opt := DefaultOptions()
-	opt.Parallelism = 1
 	opt.MaxQuantExpand, opt.MaxCubes = 8, 20000
 	e := &engine{inst: inst, opt: opt, ctx: context.Background(), res: &Result{}}
 	if err := e.setup(); err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"ecopatch/internal/aig"
 	"ecopatch/internal/cache"
-	"ecopatch/internal/cnf"
 	"ecopatch/internal/netlist"
 	"ecopatch/internal/sat"
 	"ecopatch/internal/sim"
@@ -110,17 +109,9 @@ type Options struct {
 	// minimize_assumptions (mirroring the paper's observation that
 	// SAT_prune trades scalability for quality). Default 30s.
 	ExactTimeout time.Duration
-	// Parallelism bounds intra-solve parallelism. When >1, the hard
-	// SAT queries — feasibility by cofactor expansion and each
-	// target's expression-(2) check — race a portfolio of up to
-	// Parallelism diversified solvers with clause sharing, final
-	// verification shards its output pairs across Parallelism
-	// workers, and functional matching batches its SAT confirmations
-	// across the same worker count. 0 (the default) and 1 run the
-	// serial engine, bit for bit reproducible on any host. Verdicts
-	// (feasible, verified) are independent of the setting; at >1 the
-	// computed patches may differ from the serial ones but always
-	// verify.
+	// Parallelism is kept only so existing callers still compile.
+	//
+	// Deprecated: ignored; every solve is serial.
 	Parallelism int
 
 	// Cache, when non-nil, memoizes solve work across (and within)
@@ -128,11 +119,11 @@ type Options struct {
 	// captured-formula hash, QBF feasibility outcomes and per-target
 	// patch functions by a canonical cone encoding. Every hit is
 	// collision-screened by full content comparison before it is
-	// trusted. A hit never changes a verdict, and at Parallelism=1 a
-	// cached run produces bit-for-bit the same patches as an uncached
-	// one — hits only skip work, so Stats work counters (SAT calls,
-	// cubes, conflicts) reflect the work actually performed. The same
-	// Cache may be shared by concurrent solves. Nil disables caching.
+	// trusted. A hit never changes a verdict, and a cached run produces
+	// bit-for-bit the same patches as an uncached one — hits only skip
+	// work, so Stats work counters (SAT calls, cubes, conflicts) reflect
+	// the work actually performed. The same Cache may be shared by
+	// concurrent solves. Nil disables caching.
 	Cache *cache.Cache
 
 	// Timeout caps the wall-clock time of the whole solve. On expiry
@@ -210,12 +201,6 @@ type Stats struct {
 	CacheMisses     int64
 	CacheCollisions int64
 
-	// PortfolioRaces counts SAT queries raced across the diversified
-	// portfolio (Parallelism > 1 only); PortfolioWins counts, per
-	// member configuration label, how many races that config decided.
-	PortfolioRaces int64
-	PortfolioWins  map[string]int64
-
 	// Per-stage wall clock, summed over all targets, for the
 	// machine-readable perf trajectory (ecobench -json).
 	SupportTime time.Duration // support selection incl. last-gasp
@@ -248,15 +233,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheCollisions += o.CacheCollisions
-	s.PortfolioRaces += o.PortfolioRaces
-	if len(o.PortfolioWins) > 0 {
-		if s.PortfolioWins == nil {
-			s.PortfolioWins = make(map[string]int64, len(o.PortfolioWins))
-		}
-		for k, v := range o.PortfolioWins {
-			s.PortfolioWins[k] += v
-		}
-	}
 	s.SupportTime += o.SupportTime
 	s.PatchTime += o.PatchTime
 	s.VerifyTime += o.VerifyTime
@@ -373,42 +349,6 @@ func (e *engine) newSolver() *sat.Solver {
 	}
 	e.group.add(s)
 	return s
-}
-
-// par returns the effective intra-solve parallelism:
-// Options.Parallelism, with 0 (the default) meaning serial.
-func (e *engine) par() int {
-	return max(e.opt.Parallelism, 1)
-}
-
-// newPortfolio builds a racing portfolio loaded from the captured
-// formula and registers every member for deadline interrupts.
-// Portfolio size is capped at 4: beyond that the diversification axes
-// repeat and extra members mostly duplicate work.
-func (e *engine) newPortfolio(f *cnf.Formula) *sat.Portfolio {
-	size := e.par()
-	if size > 4 {
-		size = 4
-	}
-	p := sat.NewPortfolio(
-		sat.PortfolioOptions{Size: size, ConfBudget: e.opt.ConfBudget},
-		func(s *sat.Solver) { f.LoadInto(s) },
-	)
-	for _, m := range p.Members() {
-		e.group.add(m)
-	}
-	return p
-}
-
-// recordRace folds one finished portfolio race into the run stats.
-func (e *engine) recordRace(p *sat.Portfolio) {
-	e.stats.PortfolioRaces++
-	if lbl := p.WinnerLabel(); lbl != "" {
-		if e.stats.PortfolioWins == nil {
-			e.stats.PortfolioWins = make(map[string]int64)
-		}
-		e.stats.PortfolioWins[lbl]++
-	}
 }
 
 // Solve runs the full ECO flow on the instance.

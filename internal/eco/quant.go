@@ -81,58 +81,41 @@ func (e *engine) checkFeasible() (bool, error) {
 	if quant == aig.ConstFalse {
 		return true, nil
 	}
-	// The solve cache keys on the captured encoding; capture is also
-	// what the portfolio needs, and at Parallelism=1 replaying the
+	// The solve cache keys on the captured encoding; replaying the
 	// capture into a fresh solver is bit-identical to encoding into it
 	// directly (the Formula replay contract).
-	useCache := e.solveCache() != nil
 	var f *cnf.Formula
-	if e.par() > 1 || useCache {
+	var st sat.Status
+	cached := false
+	if e.solveCache() != nil {
 		f = &cnf.Formula{}
 		enc := cnf.NewEncoder(f, e.w)
 		f.AddClause(enc.Lit(quant))
-	}
-	var st sat.Status
-	cached := false
-	if useCache {
-		if v, ok, coll := e.opt.Cache.Solve.Lookup(f, nil); ok {
+		v, ok, coll := e.opt.Cache.Solve.Lookup(f, nil)
+		e.stats.CacheCollisions += int64(coll)
+		if ok {
 			e.stats.CacheHits++
-			e.stats.CacheCollisions += int64(coll)
 			st = v.Status
 			cached = true
 		} else {
 			e.stats.CacheMisses++
-			e.stats.CacheCollisions += int64(coll)
 		}
 	}
 	if !cached {
-		var model []bool
-		if e.par() > 1 {
-			// Race the quantified check across the portfolio: capture
-			// the encoding once, replay it into every member.
-			p := e.newPortfolio(f)
-			e.stats.SATCalls++
-			st = p.Solve()
-			e.recordRace(p)
-			if st == sat.Sat {
-				model = modelOf(p.Winner(), f.NumVars())
-			}
-		} else if f != nil {
-			s := e.newSolver()
+		s := e.newSolver()
+		if f != nil {
 			f.LoadInto(s)
-			e.stats.SATCalls++
-			st = s.Solve()
+		} else {
+			enc := cnf.NewEncoder(s, e.w)
+			s.AddClause(enc.Lit(quant))
+		}
+		e.stats.SATCalls++
+		st = s.Solve()
+		if f != nil {
+			var model []bool
 			if st == sat.Sat {
 				model = modelOf(s, f.NumVars())
 			}
-		} else {
-			s := e.newSolver()
-			enc := cnf.NewEncoder(s, e.w)
-			s.AddClause(enc.Lit(quant))
-			e.stats.SATCalls++
-			st = s.Solve()
-		}
-		if useCache {
 			e.opt.Cache.Solve.Insert(f, nil, cache.Verdict{Status: st, Model: model})
 		}
 	}

@@ -121,13 +121,10 @@ type exprTwoEnc struct {
 }
 
 // encodeExprTwo encodes the two-copy extended miter of expression (2)
-// into sink. The variable-allocation sequence is deterministic, so
-// capturing into a cnf.Formula and replaying it into K portfolio
-// members yields the same literal numbering as encoding into a solver
-// directly — the returned literals are valid on every member.
-func (e *engine) encodeExprTwo(sink cnf.Sink, m0, m1 aig.Lit, divs []divisor) exprTwoEnc {
-	enc1 := cnf.NewEncoder(sink, e.w)
-	enc2 := cnf.NewEncoder(sink, e.w)
+// into s.
+func (e *engine) encodeExprTwo(s *sat.Solver, m0, m1 aig.Lit, divs []divisor) exprTwoEnc {
+	enc1 := cnf.NewEncoder(s, e.w)
+	enc2 := cnf.NewEncoder(s, e.w)
 	ec := exprTwoEnc{
 		r1:   enc1.Lit(m0),
 		r2:   enc2.Lit(m1),
@@ -138,10 +135,10 @@ func (e *engine) encodeExprTwo(sink cnf.Sink, m0, m1 aig.Lit, divs []divisor) ex
 	for j, d := range divs {
 		ec.d1s[j] = enc1.Lit(d.edge)
 		ec.d2s[j] = enc2.Lit(d.edge)
-		a := sat.PosLit(sink.NewVar())
+		a := sat.PosLit(s.NewVar())
 		// a -> (d1 == d2)
-		sink.AddClause(a.Not(), ec.d1s[j].Not(), ec.d2s[j])
-		sink.AddClause(a.Not(), ec.d1s[j], ec.d2s[j].Not())
+		s.AddClause(a.Not(), ec.d1s[j].Not(), ec.d2s[j])
+		s.AddClause(a.Not(), ec.d1s[j], ec.d2s[j].Not())
 		ec.auxs[j] = a
 	}
 	// Capture each copy's PI literals for pattern harvesting. Every
@@ -190,37 +187,16 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	}()
 
 	// Expression (2): UNSAT under all equalities iff the divisors can
-	// express a patch. At Parallelism > 1 the query races across the
-	// portfolio and the winner carries on as the incremental solver
-	// for support minimization and cube enumeration below.
-	var s *sat.Solver
-	var ec exprTwoEnc
-	if e.par() > 1 {
-		var f cnf.Formula
-		ec = e.encodeExprTwo(&f, m0, m1, divs)
-		p := e.newPortfolio(&f)
-		e.stats.SATCalls++
-		st := p.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...)
-		e.recordRace(p)
-		switch st {
-		case sat.Sat:
-			e.bankModel(p) // the insufficiency witness is a useful pattern
-			return errInsufficient
-		case sat.Unknown:
-			return errBudget
-		}
-		s = p.Winner()
-	} else {
-		s = e.newSolver()
-		ec = e.encodeExprTwo(s, m0, m1, divs)
-		e.stats.SATCalls++
-		switch s.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...) {
-		case sat.Sat:
-			e.bankModel(s)
-			return errInsufficient
-		case sat.Unknown:
-			return errBudget
-		}
+	// express a patch.
+	s := e.newSolver()
+	ec := e.encodeExprTwo(s, m0, m1, divs)
+	e.stats.SATCalls++
+	switch s.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...) {
+	case sat.Sat:
+		e.bankModel(s) // the insufficiency witness is a useful pattern
+		return errInsufficient
+	case sat.Unknown:
+		return errBudget
 	}
 	r1, r2 := ec.r1, ec.r2
 	auxs, d1s, d2s := ec.auxs, ec.d1s, ec.d2s

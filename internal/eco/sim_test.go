@@ -8,18 +8,16 @@ import (
 	"ecopatch/internal/cache"
 )
 
-// TestSimSerialReproducible pins that a run at Parallelism=1 is
-// deterministic against itself with the simulation layer in the loop:
-// elision and pruning are driven by banked models and a per-window
-// seeded RNG, never by wall clock or map order.
+// TestSimSerialReproducible pins that a run is deterministic against
+// itself with the simulation layer in the loop: elision and pruning are
+// driven by banked models and a per-window seeded RNG, never by wall
+// clock or map order.
 func TestSimSerialReproducible(t *testing.T) {
 	for name, tc := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
-			opt := tc.opt
-			opt.Parallelism = 1
 			var snaps []string
 			for run := 0; run < 2; run++ {
-				res, err := Solve(tc.inst, opt)
+				res, err := Solve(tc.inst, tc.opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -37,15 +35,14 @@ func TestSimSerialReproducible(t *testing.T) {
 
 // TestSimCacheDeterminism extends the cache determinism contract to
 // the simulation layer: uncached, cold-cache, and warm-cache runs must
-// be bit-for-bit identical at Parallelism=1. This exercises the two
-// purity mechanisms — the pattern pool folded into window keys and the
-// per-entry pattern replay on hits — without which a warm run's pool
-// (and so its pruning) would diverge from a cold one's.
+// be bit-for-bit identical. This exercises the two purity mechanisms —
+// the pattern pool folded into window keys and the per-entry pattern
+// replay on hits — without which a warm run's pool (and so its pruning)
+// would diverge from a cold one's.
 func TestSimCacheDeterminism(t *testing.T) {
 	for name, tc := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
 			base := tc.opt
-			base.Parallelism = 1
 
 			ref, err := Solve(tc.inst, base)
 			if err != nil {

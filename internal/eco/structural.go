@@ -254,62 +254,6 @@ func (e *engine) addFunctionalEquivs(cone []int, nodeEquiv map[int]equiv) {
 		_ = compl
 		bySig[key] = append(bySig[key], j)
 	}
-	if workers := e.par(); workers > 1 {
-		// Parallel form: collect the candidate pairs up front (same
-		// filters, judged against the pre-SAT nodeEquiv) and confirm
-		// them as one batch over the worker pool. Confirmations fold
-		// in pair order, cheapest kept per node, so the result is a
-		// pure function of the graph — though it may differ from the
-		// serial scan, which prunes later candidates against matches
-		// confirmed earlier.
-		type fcand struct {
-			n   int
-			j   int
-			rel bool
-		}
-		var fcands []fcand
-	collect:
-		for _, n := range cone {
-			if !e.w.IsAnd(n) {
-				continue
-			}
-			key, nCompl := canon(n)
-			cur, hasCur := nodeEquiv[n]
-			for _, j := range bySig[key] {
-				d := e.divisors[j]
-				if hasCur && d.cost >= cur.cost {
-					continue
-				}
-				if d.edge.Node() == n {
-					continue
-				}
-				if len(fcands) == maxSATChecks {
-					break collect
-				}
-				_, dCompl := canon(d.edge.Node())
-				fcands = append(fcands, fcand{n: n, j: j, rel: nCompl != dCompl})
-			}
-		}
-		pairs := make([][2]aig.Lit, len(fcands))
-		for i, c := range fcands {
-			pairs[i] = [2]aig.Lit{
-				aig.MkLit(c.n, false),
-				aig.MkLit(e.divisors[c.j].edge.Node(), c.rel),
-			}
-		}
-		results := cec.CheckPairsParallel(e.w, pairs, workers, cec.CheckOptions{OnSolver: e.group.add})
-		for i, r := range results {
-			if r.Err != nil || !r.Equal {
-				continue
-			}
-			c := fcands[i]
-			d := e.divisors[c.j]
-			if cur, ok := nodeEquiv[c.n]; !ok || d.cost < cur.cost {
-				nodeEquiv[c.n] = equiv{name: d.name, cost: d.cost, compl: c.rel != d.edge.Compl()}
-			}
-		}
-		return
-	}
 	// One incremental solver serves all candidate-pair queries: each
 	// check is a selector-guarded assumption on a shared clause
 	// database, so cone encodings and learnt clauses amortize across

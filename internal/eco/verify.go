@@ -24,7 +24,6 @@ func (e *engine) verify() (bool, error) {
 	patched := aig.Transfer(e.w, e.w, piMap, e.implPOs)
 	res, err := cec.CheckLitsOpt(e.w, patched, e.specPOs, cec.CheckOptions{
 		OnSolver: e.group.add,
-		Shards:   e.par(),
 		Cache:    e.solveCache(),
 	})
 	e.stats.CacheHits += res.CacheHits

@@ -22,33 +22,6 @@ func (p RestartPolicy) String() string {
 	return "glucose"
 }
 
-// PhaseInit selects the initial saved phase of fresh variables — a
-// cheap diversification axis for portfolio members.
-type PhaseInit uint8
-
-const (
-	// PhaseNeg branches on the negative literal first (the MiniSat
-	// default, and the zero value).
-	PhaseNeg PhaseInit = iota
-	// PhasePos branches on the positive literal first.
-	PhasePos
-	// PhaseRand picks the initial phase from a deterministic hash of
-	// (Seed, variable index); no shared RNG state is involved, so two
-	// solvers with the same Seed behave identically.
-	PhaseRand
-)
-
-func (p PhaseInit) String() string {
-	switch p {
-	case PhasePos:
-		return "pos"
-	case PhaseRand:
-		return "rand"
-	default:
-		return "neg"
-	}
-}
-
 // Config tunes the solver's search heuristics. The zero value is not
 // meaningful; start from DefaultConfig. All knobs have safe defaults
 // applied by NewWithConfig, so partially filled configs work.
@@ -88,12 +61,6 @@ type Config struct {
 	// Defaults 0.95 and 0.999.
 	VarDecay    float64
 	ClauseDecay float64
-
-	// Phase seeds the initial saved phase of fresh variables. The zero
-	// value (PhaseNeg) is the historical behavior.
-	Phase PhaseInit
-	// Seed feeds the PhaseRand hash. Ignored by the other modes.
-	Seed uint64
 }
 
 // DefaultConfig returns the Glucose-style defaults.

@@ -41,10 +41,6 @@ type Stats struct {
 	LBDSum          int64 // sum of LBDs at learning time (avg = LBDSum/Learnts)
 	CorePromotions  int64 // local-tier clauses promoted to the core tier
 	ArenaGCs        int64 // clause-arena compactions
-
-	// Portfolio clause-sharing counters.
-	SharedOut int64 // learnt clauses exported to an exchange
-	SharedIn  int64 // foreign clauses imported via ImportLearnt
 }
 
 // Add accumulates o into s, for aggregating counters across solvers.
@@ -62,8 +58,6 @@ func (s *Stats) Add(o Stats) {
 	s.LBDSum += o.LBDSum
 	s.CorePromotions += o.CorePromotions
 	s.ArenaGCs += o.ArenaGCs
-	s.SharedOut += o.SharedOut
-	s.SharedIn += o.SharedIn
 }
 
 // Solver is an incremental CDCL SAT solver. The zero value is not
@@ -111,19 +105,9 @@ type Solver struct {
 	// field that may be touched from another goroutine.
 	interrupted atomic.Bool
 
-	// stop is an optional shared stop flag installed by SetStopSignal.
-	// Unlike interrupted it belongs to the caller (the portfolio sets
-	// one flag to halt all losing members once a race is decided) and
-	// is not sticky from the solver's point of view: the owner clears
-	// it and the solver runs again.
-	stop *atomic.Bool
-
-	// onLearnt, if set, observes every learnt clause (portfolio clause
-	// export). The slice is scratch memory — the hook must copy.
+	// onLearnt, if set, observes every learnt clause. The slice is
+	// scratch memory — the hook must copy.
 	onLearnt func(lits []Lit, lbd uint32)
-	// onRestart, if set, runs at every restart boundary (decision
-	// level 0), the safe point for importing foreign clauses.
-	onRestart func()
 
 	// Restart state.
 	lubyIdx    int
@@ -197,33 +181,12 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, CRefUndef)
 	s.seen = append(s.seen, 0)
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, s.initialPhase(v))
+	s.polarity = append(s.polarity, true) // negative phase first, as in MiniSat
 	s.watches = append(s.watches, nil, nil)
 	s.unitID = append(s.unitID, 0)
 	s.lbdStamp = append(s.lbdStamp, 0)
 	s.order.insert(v)
 	return v
-}
-
-// initialPhase computes the saved-phase seed of a fresh variable
-// (true = branch on the negative literal first, the MiniSat default).
-func (s *Solver) initialPhase(v Var) bool {
-	switch s.cfg.Phase {
-	case PhasePos:
-		return false
-	case PhaseRand:
-		// Deterministic per-variable hash (splitmix64 finalizer) so
-		// random phases never depend on shared RNG state.
-		x := s.cfg.Seed + uint64(v)*0x9e3779b97f4a7c15
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		return x&1 == 0
-	default:
-		return true
-	}
 }
 
 // EnsureVars creates variables until at least n exist.
@@ -309,45 +272,11 @@ func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 // cleared.
 func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 
-// SetStopSignal installs a shared stop flag checked alongside the
-// interrupt flag: while *f is true, Solve returns Unknown. The flag is
-// owned by the caller — clearing it re-enables the solver without
-// touching the sticky interrupt. Pass nil to remove.
-func (s *Solver) SetStopSignal(f *atomic.Bool) { s.stop = f }
-
-// stopped reports whether search must wind down, for either reason.
-func (s *Solver) stopped() bool {
-	return s.interrupted.Load() || (s.stop != nil && s.stop.Load())
-}
-
 // SetLearntHook installs an observer called for every clause the
 // solver learns (including units), with its LBD. The literal slice is
 // reused scratch memory: the hook must copy it to retain it. Pass nil
 // to remove.
 func (s *Solver) SetLearntHook(fn func(lits []Lit, lbd uint32)) { s.onLearnt = fn }
-
-// SetRestartHook installs a callback run at every restart boundary,
-// with the trail unwound to decision level 0 — the safe point to feed
-// foreign clauses in via ImportLearnt. Pass nil to remove.
-func (s *Solver) SetRestartHook(fn func()) { s.onRestart = fn }
-
-// ImportLearnt adds a clause learnt by another solver over the same
-// formula. It must be called at decision level 0 (between Solve calls
-// or from a restart hook). Clauses mentioning unknown variables are
-// rejected, and proof-logging solvers refuse imports outright — a
-// foreign clause has no derivation in the local proof.
-func (s *Solver) ImportLearnt(lits []Lit) bool {
-	if s.proof != nil || !s.okay {
-		return false
-	}
-	for _, l := range lits {
-		if int(l.Var()) >= len(s.assigns) {
-			return false
-		}
-	}
-	s.Stats.SharedIn++
-	return s.AddClause(lits...)
-}
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
@@ -1028,7 +957,7 @@ func (s *Solver) shouldRestart(conflicts, nofConflicts int64) bool {
 func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 	conflicts := int64(0)
 	for {
-		if s.stopped() {
+		if s.interrupted.Load() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -1194,14 +1123,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	status := Unknown
 	s.lubyIdx = 0
 	for status == Unknown {
-		if s.onRestart != nil {
-			// Restart boundary, trail at level 0: import window for
-			// clauses shared by portfolio siblings.
-			s.onRestart()
-			if !s.okay {
-				return Unsat
-			}
-		}
 		restartLen := int64(-1)
 		if s.cfg.Restart == RestartLuby {
 			restartLen = int64(luby(float64(s.cfg.LubyBase), s.lubyIdx))
@@ -1209,7 +1130,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.Stats.Starts++
 		status = s.searchGuarded(restartLen, assumptions)
-		if (s.budgetExhausted() || s.stopped()) && status == Unknown {
+		if (s.budgetExhausted() || s.interrupted.Load()) && status == Unknown {
 			break
 		}
 	}

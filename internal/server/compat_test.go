@@ -11,11 +11,40 @@ import (
 	"ecopatch/internal/eco"
 )
 
+// postRaw submits the tiny test instance with options given as raw
+// JSON, the way an old client sends fields JobOptions no longer has,
+// and returns the accepted job's status.
+func postRaw(t *testing.T, c *Client, options string) JobStatus {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{
+		"name": "tiny", "impl": implSrc, "spec": specSrc, "options": json.RawMessage(options),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("options %s: status %d, want %d", options, resp.StatusCode, http.StatusCreated)
+	}
+	return st
+}
+
 // TestRemovedPrepOptionIgnored pins wire compatibility for the
-// removed "preprocess", "rewrite" and "sim" job options: old clients and
-// persisted requests still send them, so a raw submission carrying
-// them is accepted and solved with the fields ignored — also next to
-// patch "interp", a combination "preprocess" used to reject.
+// removed "preprocess", "rewrite", "sim" and "parallelism" job options:
+// old clients and persisted requests still send them, so a raw
+// submission carrying them is accepted and solved with the fields
+// ignored — also next to patch "interp", a combination "preprocess"
+// used to reject, and with a negative "parallelism" the daemon used to
+// reject.
 func TestRemovedPrepOptionIgnored(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	solve := s.solve
@@ -36,27 +65,11 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 		{`{"sim": true}`, eco.PatchCubeEnum},
 		{`{"sim": false}`, eco.PatchCubeEnum},
 		{`{"preprocess": true, "sim": true, "rewrite": true}`, eco.PatchCubeEnum},
+		{`{"parallelism": 2}`, eco.PatchCubeEnum},
+		{`{"parallelism": 0}`, eco.PatchCubeEnum},
+		{`{"parallelism": -1, "sim": true}`, eco.PatchCubeEnum},
 	} {
-		body, err := json.Marshal(map[string]any{
-			"name": "tiny", "impl": implSrc, "spec": specSrc, "options": json.RawMessage(tc.options),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("options %s: status %d, want %d", tc.options, resp.StatusCode, http.StatusCreated)
-		}
-		st, err = c.Wait(ctx, st.ID, 2*time.Millisecond)
+		st, err := c.Wait(ctx, postRaw(t, c, tc.options).ID, 2*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,34 +82,23 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 	}
 }
 
-// TestDedupNormalizesParallelism: submissions whose parallelism
-// normalizes to the same thread count run the identical solve, so the
-// second is served as a dedup of the first — 0 and 1 (0 means serial),
-// and 4 and 8 on a 2-slot daemon (both clamp to the pool).
+// TestDedupNormalizesParallelism: the ignored "parallelism" field
+// does not enter the request digest, so submissions that differ only
+// in it (absent, 1, 4) run the identical solve, and the second and
+// third are served as dedups of the first.
 func TestDedupNormalizesParallelism(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16, CPUSlots: 2})
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
 	ctx := context.Background()
-	for _, pair := range [][2]int{{0, 1}, {4, 8}} {
-		req := testRequest()
-		req.Options.Parallelism = pair[0]
-		first, err := c.Submit(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, err = c.Wait(ctx, first.ID, 2*time.Millisecond)
-		if err != nil || first.State != StateDone {
-			t.Fatalf("parallelism %d: %v %+v", pair[0], err, first)
-		}
-		if first.DedupOf != "" {
-			t.Fatalf("parallelism %d: served as dedup of %s, want a fresh solve", pair[0], first.DedupOf)
-		}
-		req.Options.Parallelism = pair[1]
-		second, err := c.Submit(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.DedupOf != first.ID {
-			t.Fatalf("parallelism %d after %d: dedup_of = %q, want %q", pair[1], pair[0], second.DedupOf, first.ID)
+	first, err := c.Wait(ctx, postRaw(t, c, `{}`).ID, 2*time.Millisecond)
+	if err != nil || first.State != StateDone {
+		t.Fatalf("first job: %v %+v", err, first)
+	}
+	if first.DedupOf != "" {
+		t.Fatalf("first job served as dedup of %s, want a fresh solve", first.DedupOf)
+	}
+	for _, options := range []string{`{"parallelism": 1}`, `{"parallelism": 4}`} {
+		if st := postRaw(t, c, options); st.DedupOf != first.ID {
+			t.Fatalf("options %s: dedup_of = %q, want %q", options, st.DedupOf, first.ID)
 		}
 	}
 }

@@ -79,11 +79,6 @@ type JobOptions struct {
 	ForceStructural bool    `json:"force_structural,omitempty"`
 	ConfBudget      int64   `json:"conf_budget,omitempty"`
 	TimeoutSec      float64 `json:"timeout_sec,omitempty"`
-	// Parallelism is the job's intra-solve thread count (SAT portfolio
-	// + sharded verification), weighed against the daemon's CPU-slot
-	// pool. 0 means 1 — the daemon keeps jobs serial by default so one
-	// job cannot monopolize the workers.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Eco materializes the engine options, starting from DefaultOptions.
@@ -131,12 +126,6 @@ func (o JobOptions) Eco() (eco.Options, error) {
 		return opt, fmt.Errorf("timeout_sec must be >= 0")
 	}
 	opt.Timeout = time.Duration(o.TimeoutSec * float64(time.Second))
-	if o.Parallelism < 0 {
-		return opt, fmt.Errorf("parallelism must be >= 0")
-	}
-	// The zero value is normalized to 1 at submission (serial daemon
-	// default), then clamped to the CPU-slot pool.
-	opt.Parallelism = o.Parallelism
 	return opt, nil
 }
 

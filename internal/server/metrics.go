@@ -147,8 +147,6 @@ type gaugeSnapshot struct {
 	queueCapacity int
 	running       int
 	workers       int
-	cpuSlots      int
-	cpuSlotsBusy  int
 	draining      bool
 	counts        map[State]int
 
@@ -234,8 +232,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	gauge("ecod_queue_capacity", "Admission queue capacity.", int64(g.queueCapacity))
 	gauge("ecod_jobs_running", "Jobs currently being solved.", int64(g.running))
 	gauge("ecod_workers", "Worker goroutines in the solve pool.", int64(g.workers))
-	gauge("ecod_cpu_slots", "Total CPU slots shared by all jobs (workers x intra-job threads bound).", int64(g.cpuSlots))
-	gauge("ecod_cpu_slots_busy", "CPU slots currently held by running jobs.", int64(g.cpuSlotsBusy))
 	draining := int64(0)
 	if g.draining {
 		draining = 1
@@ -298,21 +294,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_sat_learnts_total", "Clauses learnt by the SAT kernel.", st.Solver.Learnts)
 	counter("ecod_sat_learnts_removed_total", "Learnt clauses evicted by DB reduction.", st.Solver.Removed)
 	counter("ecod_sat_solve_calls_total", "Solve() invocations on SAT kernels.", st.Solver.SolveCalls)
-	counter("ecod_sat_shared_out_total", "Learnt clauses exported to portfolio exchanges.", st.Solver.SharedOut)
-	counter("ecod_sat_shared_in_total", "Learnt clauses imported from portfolio exchanges.", st.Solver.SharedIn)
-
-	// Portfolio race outcomes (intra-solve parallelism), labeled by
-	// member configuration so win skew is visible per solver recipe.
-	counter("ecod_portfolio_races_total", "SAT queries raced across the diversified portfolio.", st.PortfolioRaces)
-	fmt.Fprintf(w, "# HELP ecod_portfolio_wins_total Portfolio races decided, by winning member configuration.\n# TYPE ecod_portfolio_wins_total counter\n")
-	wins := make([]string, 0, len(st.PortfolioWins))
-	for label := range st.PortfolioWins {
-		wins = append(wins, label)
-	}
-	sort.Strings(wins)
-	for _, label := range wins {
-		fmt.Fprintf(w, "ecod_portfolio_wins_total{config=%q} %d\n", label, st.PortfolioWins[label])
-	}
 }
 
 func writeHistogram(w io.Writer, name, help string, h *histogram) {

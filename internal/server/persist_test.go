@@ -172,6 +172,9 @@ func TestPersistSkipsRetiredSolveRecords(t *testing.T) {
 // TestPersistRecoverInterrupted crafts the log a kill -9 would leave —
 // jobs persisted as queued and running with no terminal record — and
 // asserts they recover as failed with the distinct recovered marker.
+// The log also holds a done job written by an older daemon, whose
+// record carries the removed "parallelism" option and portfolio
+// counters: it must still replay, done, with its patch.
 func TestPersistRecoverInterrupted(t *testing.T) {
 	dir := t.TempDir()
 	lg, err := persist.Open(persist.Options{Dir: dir}, func(persist.RecordType, []byte) {})
@@ -191,10 +194,26 @@ func TestPersistRecoverInterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const oldDone = `{"digest": "00", "status": {"id": "job-old", "name": "o", "state": "done",
+		"queued_at": "2024-01-02T03:04:05Z", "options": {"parallelism": 2},
+		"result": {"schema": "ecod/result@v1", "cost": 3, "verified": true, "feasible": true,
+			"portfolio_races": 2, "portfolio_wins": {"glucose": 2},
+			"sat_shared_out": 5, "sat_shared_in": 4, "patch": "module patch();\nendmodule\n"}}}`
+	if err := lg.Append(persist.RecJob, []byte(oldDone)); err != nil {
+		t.Fatal(err)
+	}
 	lg.Close()
 
 	_, c := newTestServer(t, Config{Workers: 1, CacheEntries: 16, DataDir: dir})
 	ctx := context.Background()
+	old, err := c.Status(ctx, "job-old")
+	if err != nil {
+		t.Fatalf("job-old not restored: %v", err)
+	}
+	if old.State != StateDone || old.Recovered || old.Result == nil || !old.Result.Verified ||
+		old.Result.Cost != 3 || old.Result.Patch != "module patch();\nendmodule\n" {
+		t.Fatalf("job-old = %+v, want done with its result", old)
+	}
 	for id, wasState := range map[string]State{"job-queued": StateQueued, "job-running": StateRunning} {
 		st, err := c.Status(ctx, id)
 		if err != nil {

@@ -37,7 +37,7 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 			h.Write([]byte{0})
 		}
 	}
-	ws("ecod-digest@v4")
+	ws("ecod-digest@v5")
 	ws(req.Impl)
 	ws(req.Spec)
 	ws(req.Weights)
@@ -53,7 +53,6 @@ func requestDigest(req *JobRequest, opt eco.Options) string {
 	wi(int64(opt.MaxCubes))
 	wi(int64(opt.MaxQuantExpand))
 	wi(int64(opt.Timeout / time.Nanosecond))
-	wi(int64(opt.Parallelism))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -25,12 +25,6 @@ type Config struct {
 	// Workers is the solve-pool size (default: GOMAXPROCS). ECO
 	// solves are CPU-bound, so more workers than cores just thrashes.
 	Workers int
-	// CPUSlots bounds total intra-solve parallelism: every running job
-	// holds as many slots as its effective Parallelism (at least 1),
-	// so job workers × intra-job threads never oversubscribes the
-	// machine. Default: max(GOMAXPROCS, Workers), which preserves the
-	// one-slot-per-worker behavior when no job asks for parallelism.
-	CPUSlots int
 	// QueueCap bounds the admission queue (default 64). A full queue
 	// sheds new submissions with 429 + Retry-After instead of letting
 	// latency grow without bound.
@@ -72,12 +66,6 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.CPUSlots <= 0 {
-		c.CPUSlots = runtime.GOMAXPROCS(0)
-		if c.CPUSlots < c.Workers {
-			c.CPUSlots = c.Workers
-		}
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -96,7 +84,6 @@ type Server struct {
 	cfg     Config
 	store   *Store
 	metrics *Metrics
-	slots   *slotSem
 
 	// rcache dedupes whole jobs by input digest; ecoCache is the
 	// shared solve/window cache threaded into every job's options.
@@ -130,7 +117,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   NewStore(cfg.MaxJobs),
 		metrics: NewMetrics(),
-		slots:   newSlotSem(cfg.CPUSlots),
 		queue:   make(chan *Job, cfg.QueueCap),
 		quit:    make(chan struct{}),
 		drained: make(chan struct{}),
@@ -189,14 +175,6 @@ func (s *Server) runJob(j *Job) {
 	if s.ecoCache != nil {
 		j.opt.Cache = s.ecoCache
 	}
-	// CPU-slot admission, at the parallelism handleSubmit normalized.
-	held, ok := s.slots.acquire(j.opt.Parallelism, s.quit)
-	if !ok {
-		s.store.Finish(j, StateCancelled, "server draining", nil)
-		return
-	}
-	defer s.slots.release(held)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if !s.store.Start(j, cancel) {
@@ -266,8 +244,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus) {
 			PatchTime:       time.Duration(status.Result.PatchSec * float64(time.Second)),
 			VerifyTime:      time.Duration(status.Result.VerifySec * float64(time.Second)),
 		}
-		stats.PortfolioRaces = status.Result.PortfolioRaces
-		stats.PortfolioWins = status.Result.PortfolioWins
 		stats.Solver.SolveCalls = status.Result.SATCalls
 		stats.Solver.Conflicts = status.Result.Conflicts
 		stats.Solver.Decisions = status.Result.Decisions
@@ -275,8 +251,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus) {
 		stats.Solver.Restarts = status.Result.Restarts
 		stats.Solver.Learnts = status.Result.Learnts
 		stats.Solver.Removed = status.Result.LearntEvict
-		stats.Solver.SharedOut = status.Result.SharedOut
-		stats.Solver.SharedIn = status.Result.SharedIn
 		stats.CacheHits = status.Result.CacheHits
 		stats.CacheMisses = status.Result.CacheMisses
 		stats.CacheCollisions = status.Result.CacheCollisions
@@ -446,12 +420,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxTimeout > 0 && (opt.Timeout == 0 || opt.Timeout > s.cfg.MaxTimeout) {
 		opt.Timeout = s.cfg.MaxTimeout
 	}
-	// A job's intra-solve parallelism weighs against the CPU-slot
-	// pool: 0 means 1 (serial), and requests above the pool are
-	// clamped to it. Normalizing before digesting lets submissions
-	// that run the same solve share one digest.
-	opt.Parallelism = min(max(opt.Parallelism, 1), s.cfg.CPUSlots)
-
 	j := s.store.NewJob(inst.Name, inst, opt)
 	if s.rcache != nil {
 		digest := requestDigest(&req, opt)
@@ -580,8 +548,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		queueCapacity: cap(s.queue),
 		running:       int(s.running.Load()),
 		workers:       s.cfg.Workers,
-		cpuSlots:      s.cfg.CPUSlots,
-		cpuSlotsBusy:  s.cfg.CPUSlots - s.slots.available(),
 		draining:      s.draining.Load(),
 		counts:        s.store.Counts(),
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // Model is anything that can report the value a satisfying assignment
-// gives to a literal. *sat.Solver and *sat.Portfolio both qualify.
+// gives to a literal, such as a satisfied *sat.Solver.
 type Model interface {
 	ModelBool(sat.Lit) bool
 }
