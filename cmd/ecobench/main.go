@@ -52,7 +52,7 @@ func realMain() int {
 		modesStr   = flag.String("modes", strings.Join(bench.Modes, ","), "table1 algorithm columns")
 		jobs       = flag.Int("j", 1, "worker goroutines for the table1 sweep")
 		timeout    = flag.Duration("timeout", 0, "per-(unit,mode) deadline for table1 cells (0 = none)")
-		cacheEnt   = flag.Int("cache", 0, "attach a shared solve/window cache of N entries to the table1 sweep (0 = off)")
+		cacheEnt   = flag.Int("cache", 0, "attach a shared window store of N entries to the table1 sweep (0 = off)")
 		warm       = flag.Bool("warm", false, "run table1 twice against one cache (cold then warm) and report the speedup")
 		jsonPath   = flag.String("json", "", "also write the table1 report as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")

@@ -101,7 +101,7 @@ func cmdServe(args []string) error {
 		resultsDir = fs.String("results-dir", "", "persist finished job results as <dir>/<id>.json")
 		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay job history (and warm the result cache) from this directory on boot")
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
-		cacheEnt   = fs.Int("cache-entries", 256, "content-addressed result cache + shared solve cache size (0 disables)")
+		cacheEnt   = fs.Int("cache-entries", 256, "entries in the content-addressed result cache and in the shared window store (0 disables both)")
 	)
 	fs.Parse(args)
 

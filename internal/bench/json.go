@@ -61,7 +61,7 @@ type JSONCell struct {
 	LearntEvict  int64 `json:"learnt_evicted"`
 
 	// Additive cache counters (present only when the cell ran with a
-	// solve/window cache; the schema stays table1@v1). ColdSeconds is
+	// window store; the schema stays table1@v1). ColdSeconds is
 	// set on warm-pass cells to the matching cold cell's wall clock.
 	CacheHits       int64   `json:"cache_hits,omitempty"`
 	CacheMisses     int64   `json:"cache_misses,omitempty"`

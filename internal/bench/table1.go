@@ -44,8 +44,8 @@ type AlgoResult struct {
 	Learnts      int64
 	LearntEvict  int64
 
-	// Solve/window cache counters (zero unless the cell ran with a
-	// cache attached).
+	// Window-store counters (zero unless the cell ran with a cache
+	// attached).
 	CacheHits       int64
 	CacheMisses     int64
 	CacheCollisions int64
@@ -183,13 +183,14 @@ type RunOptions struct {
 	Jobs    int           // worker goroutines; <=1 means sequential
 	Timeout time.Duration // per-(unit,mode) cell deadline; 0 = none
 	Units   []string      // restrict to these unit names; nil = all
-	// CacheEntries, when > 0, attaches a shared solve/window cache of
-	// that size to every cell of the sweep (ecobench -cache). Ignored
-	// when Cache is set directly.
+	// CacheEntries, when > 0, attaches a shared window store of that
+	// size to every cell of the sweep (ecobench -cache). Ignored when
+	// Cache is set directly.
 	CacheEntries int
-	// Cache, when non-nil, is the shared cache handed to every cell —
-	// the warm-run harness threads one cache through both passes.
-	Cache *cache.Cache
+	// Cache, when non-nil, is the shared window store handed to every
+	// cell — the warm-run harness threads one store through both
+	// passes.
+	Cache *cache.Store
 }
 
 // RunTable1 reproduces Table 1: every unit in every requested mode.
@@ -211,7 +212,7 @@ func RunTable1With(opts RunOptions, w io.Writer) ([]Table1Row, error) {
 		modes = Modes
 	}
 	if opts.Cache == nil && opts.CacheEntries > 0 {
-		opts.Cache = cache.New(opts.CacheEntries)
+		opts.Cache = cache.NewStore(opts.CacheEntries)
 	}
 	units := Suite(opts.Scale)
 	if len(opts.Units) > 0 {

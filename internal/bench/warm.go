@@ -9,7 +9,7 @@ import (
 )
 
 // WarmRun is the outcome of a warm-vs-cold cache benchmark: the same
-// sweep executed twice against one shared solve/window cache. The
+// sweep executed twice against one shared window store. The
 // cold pass populates it; the warm pass reuses it. Speedup is the
 // geomean of per-cell cold/warm wall-clock ratios.
 type WarmRun struct {
@@ -28,7 +28,7 @@ func RunTable1Warm(opts RunOptions, w io.Writer) (*WarmRun, error) {
 		if entries <= 0 {
 			entries = 4096
 		}
-		opts.Cache = cache.New(entries)
+		opts.Cache = cache.NewStore(entries)
 	}
 	if w != nil {
 		fmt.Fprintln(w, "== cold pass (empty cache) ==")

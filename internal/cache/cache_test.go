@@ -3,9 +3,6 @@ package cache
 import (
 	"fmt"
 	"testing"
-
-	"ecopatch/internal/cnf"
-	"ecopatch/internal/sat"
 )
 
 func TestStoreLookupInsert(t *testing.T) {
@@ -100,88 +97,6 @@ func TestStoreWordBudget(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatal("word budget never triggered eviction")
-	}
-}
-
-// captureFormula builds a tiny distinct formula: (x0 | x1) & seed-unit.
-func captureFormula(seed int) *cnf.Formula {
-	f := &cnf.Formula{}
-	a, b := f.NewVar(), f.NewVar()
-	f.AddClause(sat.PosLit(a), sat.PosLit(b))
-	for i := 0; i < seed; i++ {
-		v := f.NewVar()
-		f.AddClause(sat.PosLit(v))
-	}
-	return f
-}
-
-func TestSolveCacheVerdicts(t *testing.T) {
-	c := NewSolveCache(16)
-	f := captureFormula(1)
-	if _, ok, _ := c.Lookup(f, nil); ok {
-		t.Fatal("hit on empty cache")
-	}
-	// Unknown verdicts are never retained (budget expiry is not a fact
-	// about the formula).
-	c.Insert(captureFormula(1), nil, Verdict{Status: sat.Unknown})
-	if _, ok, _ := c.Lookup(f, nil); ok {
-		t.Fatal("unknown verdict was cached")
-	}
-	// Sat without a full model is rejected too.
-	c.Insert(captureFormula(1), nil, Verdict{Status: sat.Sat, Model: []bool{true}})
-	if _, ok, _ := c.Lookup(f, nil); ok {
-		t.Fatal("incomplete model was cached")
-	}
-	model := make([]bool, f.NumVars())
-	model[0] = true
-	c.Insert(captureFormula(1), nil, Verdict{Status: sat.Sat, Model: model})
-	v, ok, _ := c.Lookup(f, nil)
-	if !ok || v.Status != sat.Sat {
-		t.Fatalf("lookup = (%+v, %v)", v, ok)
-	}
-	if !v.LitTrue(sat.PosLit(0)) || v.LitTrue(sat.NegLit(0)) {
-		t.Fatal("LitTrue does not honor literal polarity")
-	}
-
-	// Assumptions are part of the key.
-	if _, ok, _ := c.Lookup(f, []sat.Lit{sat.PosLit(0)}); ok {
-		t.Fatal("hit across different assumptions")
-	}
-	c.Insert(captureFormula(1), []sat.Lit{sat.PosLit(0)}, Verdict{Status: sat.Unsat})
-	if v, ok, _ := c.Lookup(f, []sat.Lit{sat.PosLit(0)}); !ok || v.Status != sat.Unsat {
-		t.Fatalf("assumption-keyed lookup = (%+v, %v)", v, ok)
-	}
-}
-
-func TestSolveCacheDistinctFormulas(t *testing.T) {
-	c := NewSolveCache(64)
-	for i := 0; i < 20; i++ {
-		c.Insert(captureFormula(i), nil, Verdict{Status: sat.Unsat})
-	}
-	for i := 0; i < 20; i++ {
-		v, ok, _ := c.Lookup(captureFormula(i), nil)
-		if !ok || v.Status != sat.Unsat {
-			t.Fatalf("formula %d: lookup = (%+v, %v)", i, v, ok)
-		}
-	}
-	if st := c.Stats(); st.Entries != 20 || st.Hits != 20 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestUmbrellaCacheStats(t *testing.T) {
-	c := New(8)
-	c.Window.Insert([]uint64{1}, "w")
-	c.Window.Lookup([]uint64{1})
-	c.Solve.Insert(captureFormula(0), nil, Verdict{Status: sat.Unsat})
-	c.Solve.Lookup(captureFormula(0), nil)
-	st := c.Stats()
-	if st.Hits != 2 || st.Entries != 2 {
-		t.Fatalf("umbrella stats = %+v", st)
-	}
-	var nilCache *Cache
-	if s := nilCache.Stats(); s != (Stats{}) {
-		t.Fatalf("nil cache stats = %+v", s)
 	}
 }
 

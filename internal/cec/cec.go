@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"ecopatch/internal/aig"
-	"ecopatch/internal/cache"
 	"ecopatch/internal/cnf"
 	"ecopatch/internal/sat"
 )
@@ -31,12 +30,6 @@ type CheckOptions struct {
 	// creates, so callers can Interrupt a long-running check from
 	// another goroutine.
 	OnSolver func(*sat.Solver)
-	// Cache, when non-nil, memoizes verdicts keyed by the captured CNF
-	// of the diff query. A hit skips the solve entirely (the
-	// counterexample is reconstructed from the cached model); every hit
-	// is collision-screened by full formula comparison before it is
-	// trusted. Unknown verdicts are never cached.
-	Cache *cache.SolveCache
 }
 
 // Result reports the outcome of an equivalence check.
@@ -49,13 +42,6 @@ type Result struct {
 	FailingOutput int
 	// Conflicts is the number of SAT conflicts spent.
 	Conflicts int64
-	// Solve-cache traffic of this check (zero unless
-	// CheckOptions.Cache was set): verdicts served from the cache,
-	// queries solved fresh, and hash collisions screened out by
-	// formula comparison.
-	CacheHits       int64
-	CacheMisses     int64
-	CacheCollisions int64
 }
 
 // CheckAIGs decides whether two AIGs with identical PI/PO counts are
@@ -199,19 +185,11 @@ func readPairs(g *aig.AIG, n int) (pis, t1, t2 []aig.Lit) {
 	return pis, t1, t2
 }
 
-// cacheTally is the solve-cache traffic of one query.
-type cacheTally struct {
-	hits, misses, collisions int64
-}
-
-// encodePairDiff Tseitin-encodes "some pair in idx differs" into
-// sink — PIs first, so counterexample readback never allocates
-// variables after solving — and returns the PI literals. The
-// variable-allocation sequence is deterministic, so capturing into a
-// cnf.Formula and replaying it into a solver yields the same literal
-// numbering as encoding into the solver directly.
-func encodePairDiff(sink cnf.Sink, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int) []sat.Lit {
-	e := cnf.NewEncoder(sink, m)
+// encodePairDiff Tseitin-encodes "some pair in idx differs" into s —
+// PIs first, so counterexample readback never allocates variables
+// after solving — and returns the PI literals.
+func encodePairDiff(s *sat.Solver, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, idx []int) []sat.Lit {
+	e := cnf.NewEncoder(s, m)
 	piLits := make([]sat.Lit, len(pis))
 	for i, p := range pis {
 		piLits[i] = e.Lit(p)
@@ -221,45 +199,24 @@ func encodePairDiff(sink cnf.Sink, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, 
 	for _, i := range idx {
 		a := e.Lit(t1[i])
 		b := e.Lit(t2[i])
-		d := sat.PosLit(sink.NewVar())
+		d := sat.PosLit(s.NewVar())
 		// d -> (a xor b)
-		sink.AddClause(d.Not(), a, b)
-		sink.AddClause(d.Not(), a.Not(), b.Not())
+		s.AddClause(d.Not(), a, b)
+		s.AddClause(d.Not(), a.Not(), b.Not())
 		// (a xor b) -> d
-		sink.AddClause(d, a, b.Not())
-		sink.AddClause(d, a.Not(), b)
+		s.AddClause(d, a, b.Not())
+		s.AddClause(d, a.Not(), b)
 		diffSel = append(diffSel, d)
 	}
-	sink.AddClause(diffSel...)
+	s.AddClause(diffSel...)
 	return piLits
 }
 
 // solvePairs decides "some pair in diff differs" with one solver and
-// encoder; the counterexample is indexed by PI position. With a cache
-// configured the encoding is captured first and a screened hit is
-// served without solving.
+// encoder; the counterexample is indexed by PI position. Sat is a
+// counterexample, Unsat means equivalent, and Unknown (budget exhausted
+// or interrupted) is no verdict either way.
 func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt CheckOptions) (Result, error) {
-	var f *cnf.Formula
-	var piLits []sat.Lit
-	var tally cacheTally
-	if opt.Cache != nil {
-		f = &cnf.Formula{}
-		piLits = encodePairDiff(f, m, pis, t1, t2, diff)
-		v, ok, coll := opt.Cache.Lookup(f, nil)
-		tally.collisions = int64(coll)
-		if ok {
-			tally.hits = 1
-			var cex []bool
-			if v.Status == sat.Sat {
-				cex = make([]bool, len(pis))
-				for i := range piLits {
-					cex[i] = v.LitTrue(piLits[i])
-				}
-			}
-			return pairVerdict(m, t1, t2, v.Status, cex, 0, tally)
-		}
-		tally.misses = 1
-	}
 	s := sat.New()
 	if opt.ConfBudget > 0 {
 		s.SetConfBudget(opt.ConfBudget)
@@ -267,40 +224,14 @@ func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt Che
 	if opt.OnSolver != nil {
 		opt.OnSolver(s)
 	}
-	if f != nil {
-		f.LoadInto(s)
-	} else {
-		piLits = encodePairDiff(s, m, pis, t1, t2, diff)
-	}
-	st := s.Solve()
-	var cex []bool
-	if st == sat.Sat {
-		cex = make([]bool, len(pis))
+	piLits := encodePairDiff(s, m, pis, t1, t2, diff)
+	switch s.Solve() {
+	case sat.Sat:
+		cex := make([]bool, len(pis))
 		for i := range pis {
 			cex[i] = s.ModelBool(piLits[i])
 		}
-	}
-	if opt.Cache != nil && st != sat.Unknown {
-		var model []bool
-		if st == sat.Sat {
-			model = make([]bool, f.NumVars())
-			for v := range model {
-				model[v] = s.ModelBool(sat.PosLit(sat.Var(v)))
-			}
-		}
-		opt.Cache.Insert(f, nil, cache.Verdict{Status: st, Model: model})
-	}
-	return pairVerdict(m, t1, t2, st, cex, s.Stats.Conflicts, tally)
-}
-
-// pairVerdict turns one diff query's outcome into a Result: Sat is a
-// counterexample, Unsat means equivalent, and Unknown (budget exhausted
-// or interrupted) is no verdict either way.
-func pairVerdict(m *aig.AIG, t1, t2 []aig.Lit, st sat.Status, cex []bool, conflicts int64, tally cacheTally) (Result, error) {
-	switch st {
-	case sat.Sat:
-		res := Result{Counterexample: cex, FailingOutput: -1, Conflicts: conflicts,
-			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}
+		res := Result{Counterexample: cex, FailingOutput: -1, Conflicts: s.Stats.Conflicts}
 		// Identify a failing output index by evaluation, scanning the
 		// full pair list so the lowest failing index is reported. One
 		// Eval pass covers every pair; per-pair EvalLit would redo the
@@ -315,8 +246,7 @@ func pairVerdict(m *aig.AIG, t1, t2 []aig.Lit, st sat.Status, cex []bool, confli
 		}
 		return res, nil
 	case sat.Unsat:
-		return Result{Equivalent: true, Conflicts: conflicts,
-			CacheHits: tally.hits, CacheMisses: tally.misses, CacheCollisions: tally.collisions}, nil
+		return Result{Equivalent: true, Conflicts: s.Stats.Conflicts}, nil
 	default:
 		return Result{}, ErrGaveUp
 	}

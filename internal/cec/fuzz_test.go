@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ecopatch/internal/aig"
-	"ecopatch/internal/cache"
 )
 
 // FuzzCheckLits checks CheckLitsOpt, fraig front end included, against
@@ -14,10 +13,10 @@ import (
 // expansion of the first about a random PI, a new structure for the
 // same function, and a pair whose bit is set in the low nibble of mode
 // gets one cofactor XORed with a random node, which usually breaks the
-// equivalence. Bit 0x80 of mode attaches a solve cache; 0x10, 0x20
-// and 0x40 are unused. The verdict must match the simulation, a
-// counterexample must distinguish some pair, and FailingOutput must be
-// the lowest pair it distinguishes.
+// equivalence. Bits 0x10, 0x20, 0x40 and 0x80 of mode are unused. The
+// verdict must match the simulation, a counterexample must distinguish
+// some pair, and FailingOutput must be the lowest pair it
+// distinguishes.
 func FuzzCheckLits(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(seed*37), uint8(seed), uint8(seed*23))
@@ -58,11 +57,7 @@ func FuzzCheckLits(f *testing.F) {
 			bs[i] = g.Mux(g.PI(x), c1, c0)
 		}
 
-		var opt CheckOptions
-		if mode&0x80 != 0 {
-			opt.Cache = cache.NewSolveCache(16)
-		}
-		res, err := CheckLitsOpt(g, as, bs, opt)
+		res, err := CheckLitsOpt(g, as, bs, CheckOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,20 +10,11 @@ import (
 	"ecopatch/internal/sat"
 )
 
-// Sink receives the variables and clauses an Encoder emits. It is the
-// subset of *sat.Solver the encoder needs, so a Formula can capture an
-// encoding (the solve cache's key) and replay it into a solver.
-type Sink interface {
-	NewVar() sat.Var
-	AddClause(lits ...sat.Lit) bool
-}
-
 // Encoder incrementally Tseitin-encodes cones of one AIG into a
-// solver (or any clause Sink). Nodes are encoded at most once;
-// repeated Encode calls with overlapping cones share variables and
-// clauses.
+// solver. Nodes are encoded at most once; repeated Encode calls with
+// overlapping cones share variables and clauses.
 type Encoder struct {
-	S Sink
+	S *sat.Solver
 	G *aig.AIG
 
 	vars     []sat.Lit // per AIG node; LitUndef when not yet encoded
@@ -31,7 +22,7 @@ type Encoder struct {
 }
 
 // NewEncoder returns an encoder of g into s.
-func NewEncoder(s Sink, g *aig.AIG) *Encoder {
+func NewEncoder(s *sat.Solver, g *aig.AIG) *Encoder {
 	return &Encoder{S: s, G: g}
 }
 

@@ -1,9 +1,6 @@
 package eco
 
-import (
-	"ecopatch/internal/aig"
-	"ecopatch/internal/cache"
-)
+import "ecopatch/internal/aig"
 
 // This file builds the engine's cache keys and replays cached
 // entries. Two kinds of work are memoized at the window level:
@@ -15,7 +12,7 @@ import (
 //     them for identical downstream behavior);
 //   - the per-target patch of one rectification window, keyed by the
 //     canonical cones of both cofactor miters and every divisor edge
-//     plus the divisor order/costs and the option fingerprint.
+//     plus the divisor order/costs and Options.AppendKey.
 //
 // Keys are canonical cone encodings: nodes renumbered densely in
 // topological order, PIs identified by name. Two structurally
@@ -28,7 +25,7 @@ import (
 // from ever comparing equal; bump on layout changes.
 const (
 	feasKeyVersion   uint64 = 0xecc0_fea5<<32 | 1
-	windowKeyVersion uint64 = 0xecc0_aa1c<<32 | 1
+	windowKeyVersion uint64 = 0xecc0_aa1c<<32 | 2
 )
 
 // feasEntry is the cached outcome of the QBF feasibility check.
@@ -125,47 +122,9 @@ func appendConeKey(buf []uint64, g *aig.AIG, roots []aig.Lit) []uint64 {
 	return buf
 }
 
-// appendOptionsKey fingerprints every option that can change what a
-// window computes.
-func (e *engine) appendOptionsKey(buf []uint64) []uint64 {
-	o := e.opt
-	flags := uint64(0)
-	set := func(bit uint, v bool) {
-		if v {
-			flags |= 1 << bit
-		}
-	}
-	set(0, o.LastGasp)
-	set(1, o.CEGARMin)
-	set(2, o.FunctionalMatch)
-	set(3, o.ForceStructural)
-	// Bits 4-8 are unused.
-	return append(buf,
-		uint64(o.Support), uint64(o.Patch), flags,
-		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),
-		uint64(o.ExactTimeout))
-}
-
-// windowCache returns the window-level store, or nil when caching is
-// off.
-func (e *engine) windowCache() *cache.Store {
-	if e.opt.Cache == nil {
-		return nil
-	}
-	return e.opt.Cache.Window
-}
-
-// solveCache returns the captured-formula verdict cache, or nil.
-func (e *engine) solveCache() *cache.SolveCache {
-	if e.opt.Cache == nil {
-		return nil
-	}
-	return e.opt.Cache.Solve
-}
-
 // feasKey builds the QBF feasibility key, or nil when caching is off.
 func (e *engine) feasKey() []uint64 {
-	if e.windowCache() == nil {
+	if e.opt.Cache == nil {
 		return nil
 	}
 	buf := make([]uint64, 0, 1024)
@@ -182,12 +141,12 @@ func (e *engine) feasKey() []uint64 {
 // windowKey builds the patch-cache key for target i over its cofactor
 // miters, or nil when caching is off.
 func (e *engine) windowKey(i int, m0, m1 aig.Lit) []uint64 {
-	if e.windowCache() == nil {
+	if e.opt.Cache == nil {
 		return nil
 	}
 	buf := make([]uint64, 0, 4096)
 	buf = append(buf, windowKeyVersion)
-	buf = e.appendOptionsKey(buf)
+	buf = e.opt.AppendKey(buf)
 	// What a window computes depends on the pooled patterns its
 	// divisor pruning simulates; fold the pool state into the key so a
 	// hit is only taken when the pruning inputs match too.

@@ -1,7 +1,9 @@
 package eco
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ecopatch/internal/cache"
@@ -35,7 +37,7 @@ func TestCacheDeterminism(t *testing.T) {
 
 			// Cold pass populates, warm pass reuses, third pass checks
 			// the warm state is itself stable.
-			c := cache.New(1024)
+			c := cache.NewStore(1024)
 			opt := base
 			opt.Cache = c
 			var warmHits int64
@@ -72,7 +74,7 @@ func TestCacheDeterminism(t *testing.T) {
 // one cache: entries of one must never leak into the other.
 func TestCacheSharedAcrossInstances(t *testing.T) {
 	cases := parallelCases(t)
-	c := cache.New(1024)
+	c := cache.NewStore(1024)
 	want := make(map[string]string)
 	for name, tc := range cases {
 		res, err := Solve(tc.inst, tc.opt)
@@ -99,5 +101,21 @@ func TestCacheSharedAcrossInstances(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits == 0 {
 		t.Fatalf("shared cache never hit: %+v", st)
+	}
+}
+
+// TestWindowKeyUsesOptionsKey pins that a window key carries the
+// options through Options.AppendKey, the encoding ecod's request digest
+// also hashes, right after its version tag.
+func TestWindowKeyUsesOptionsKey(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Cache = cache.NewStore(16)
+	e := &engine{inst: mustInstance(t, implAndTarget, specAndOr, nil), opt: opt, ctx: context.Background(), res: &Result{}}
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
+	}
+	want := opt.AppendKey([]uint64{windowKeyVersion})
+	if key := e.windowKey(0, e.miter, e.miter); len(key) < len(want) || !slices.Equal(key[:len(want)], want) {
+		t.Fatalf("window key prefix = %x, want %x", key[:min(len(key), len(want))], want)
 	}
 }

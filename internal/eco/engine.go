@@ -114,17 +114,16 @@ type Options struct {
 	// Deprecated: ignored; every solve is serial.
 	Parallelism int
 
-	// Cache, when non-nil, memoizes solve work across (and within)
-	// runs: CEC pair-check and cofactor-feasibility verdicts by
-	// captured-formula hash, QBF feasibility outcomes and per-target
-	// patch functions by a canonical cone encoding. Every hit is
-	// collision-screened by full content comparison before it is
-	// trusted. A hit never changes a verdict, and a cached run produces
-	// bit-for-bit the same patches as an uncached one — hits only skip
-	// work, so Stats work counters (SAT calls, cubes, conflicts) reflect
-	// the work actually performed. The same Cache may be shared by
-	// concurrent solves. Nil disables caching.
-	Cache *cache.Cache
+	// Cache, when non-nil, is the window store: it memoizes QBF
+	// feasibility outcomes and per-target patch functions across (and
+	// within) runs, keyed by a canonical cone encoding plus AppendKey.
+	// Every hit is collision-screened by full content comparison before
+	// it is trusted. A hit never changes a verdict, and a cached run
+	// produces bit-for-bit the same patches as an uncached one — hits
+	// only skip work, so Stats work counters (SAT calls, cubes,
+	// conflicts) reflect the work actually performed. The same store
+	// may be shared by concurrent solves. Nil disables caching.
+	Cache *cache.Store
 
 	// Timeout caps the wall-clock time of the whole solve. On expiry
 	// every active SAT solver is interrupted and the engine stops at
@@ -154,6 +153,27 @@ func DefaultOptions() Options {
 		MaxCubes:        20000,
 		ExactTimeout:    30 * time.Second,
 	}
+}
+
+// AppendKey appends a fixed-length encoding of every option that can
+// change what a solve computes: the window cache keys windows by it
+// and ecod's request digest hashes it, so both always agree on which
+// options shape a result. Timeout, Log, Cache and the deprecated
+// Parallelism are left out — a deadline only cuts a solve short
+// (cancelled windows are never cached; the digest hashes Timeout on
+// its own), and the others never change a result. A new field that
+// can change a result belongs here.
+func (o Options) AppendKey(buf []uint64) []uint64 {
+	flags := uint64(0)
+	for bit, on := range [...]bool{o.Window, o.LastGasp, o.CEGARMin, o.FunctionalMatch, o.UseQBF, o.ForceStructural} {
+		if on {
+			flags |= 1 << uint(bit)
+		}
+	}
+	return append(buf,
+		uint64(o.Support), uint64(o.Patch), flags,
+		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),
+		uint64(o.ExactTimeout))
 }
 
 // TargetPatch describes the patch computed for one target.
@@ -193,8 +213,8 @@ type Stats struct {
 	SimPatterns int64
 
 	// Cache traffic (zero unless Options.Cache was set): queries
-	// served from the solve/window caches, queries computed fresh, and
-	// hash collisions screened out by full content comparison. An
+	// served from the window store, queries computed fresh, and hash
+	// collisions screened out by full content comparison. An
 	// unscreened hit cannot happen, so CacheCollisions counts averted
 	// wrong answers, not served ones.
 	CacheHits       int64

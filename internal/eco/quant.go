@@ -2,21 +2,10 @@ package eco
 
 import (
 	"ecopatch/internal/aig"
-	"ecopatch/internal/cache"
 	"ecopatch/internal/cnf"
 	"ecopatch/internal/qbf"
 	"ecopatch/internal/sat"
 )
-
-// modelOf reads the full model of a satisfied solver, indexed by
-// capture variable, for insertion into the solve cache.
-func modelOf(s *sat.Solver, nVars int) []bool {
-	m := make([]bool, nVars)
-	for v := range m {
-		m[v] = s.ModelBool(sat.PosLit(sat.Var(v)))
-	}
-	return m
-}
 
 // selfPIMap returns the identity PI map of the working AIG.
 func (e *engine) selfPIMap() []aig.Lit {
@@ -40,7 +29,7 @@ func (e *engine) checkFeasible() (bool, error) {
 		// canonical cone of the full miter plus the target partition.
 		key := e.feasKey()
 		if key != nil {
-			if v, ok, coll := e.opt.Cache.Window.Lookup(key); ok {
+			if v, ok, coll := e.opt.Cache.Lookup(key); ok {
 				fe := v.(*feasEntry)
 				e.stats.CacheHits++
 				e.stats.CacheCollisions += int64(coll)
@@ -67,7 +56,7 @@ func (e *engine) checkFeasible() (bool, error) {
 		e.stats.QBFCopies = r.Copies
 		e.moves = r.Moves
 		if key != nil && !e.cancelled() {
-			e.opt.Cache.Window.Insert(key, &feasEntry{feasible: !r.Holds, copies: r.Copies, moves: r.Moves})
+			e.opt.Cache.Insert(key, &feasEntry{feasible: !r.Holds, copies: r.Copies, moves: r.Moves})
 		}
 		if r.Holds {
 			e.logf("infeasible: input witness found for ∃x∀t M(t,x)")
@@ -81,45 +70,10 @@ func (e *engine) checkFeasible() (bool, error) {
 	if quant == aig.ConstFalse {
 		return true, nil
 	}
-	// The solve cache keys on the captured encoding; replaying the
-	// capture into a fresh solver is bit-identical to encoding into it
-	// directly (the Formula replay contract).
-	var f *cnf.Formula
-	var st sat.Status
-	cached := false
-	if e.solveCache() != nil {
-		f = &cnf.Formula{}
-		enc := cnf.NewEncoder(f, e.w)
-		f.AddClause(enc.Lit(quant))
-		v, ok, coll := e.opt.Cache.Solve.Lookup(f, nil)
-		e.stats.CacheCollisions += int64(coll)
-		if ok {
-			e.stats.CacheHits++
-			st = v.Status
-			cached = true
-		} else {
-			e.stats.CacheMisses++
-		}
-	}
-	if !cached {
-		s := e.newSolver()
-		if f != nil {
-			f.LoadInto(s)
-		} else {
-			enc := cnf.NewEncoder(s, e.w)
-			s.AddClause(enc.Lit(quant))
-		}
-		e.stats.SATCalls++
-		st = s.Solve()
-		if f != nil {
-			var model []bool
-			if st == sat.Sat {
-				model = modelOf(s, f.NumVars())
-			}
-			e.opt.Cache.Solve.Insert(f, nil, cache.Verdict{Status: st, Model: model})
-		}
-	}
-	switch st {
+	s := e.newSolver()
+	s.AddClause(cnf.NewEncoder(s, e.w).Lit(quant))
+	e.stats.SATCalls++
+	switch s.Solve() {
 	case sat.Sat:
 		return false, nil
 	case sat.Unsat:

@@ -58,7 +58,7 @@ func (e *engine) rectifyOne(i int) error {
 	m0, m1 := e.cofactorMiters(i)
 	key := e.windowKey(i, m0, m1)
 	if key != nil {
-		if v, ok, coll := e.opt.Cache.Window.Lookup(key); ok {
+		if v, ok, coll := e.opt.Cache.Lookup(key); ok {
 			e.stats.CacheHits++
 			e.stats.CacheCollisions += int64(coll)
 			e.installCachedPatch(i, v.(*patchEntry))
@@ -78,7 +78,7 @@ func (e *engine) rectifyOne(i int) error {
 	err := e.rectifyOneCompute(i, m0, m1)
 	e.inWindow = false
 	if err == nil && key != nil && !e.cancelled() {
-		e.opt.Cache.Window.Insert(key, e.snapshotPatch(i))
+		e.opt.Cache.Insert(key, e.snapshotPatch(i))
 	}
 	e.winPatterns = nil
 	return err

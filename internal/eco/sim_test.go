@@ -50,7 +50,7 @@ func TestSimCacheDeterminism(t *testing.T) {
 			}
 			want := snapshotResult(ref)
 
-			c := cache.New(1024)
+			c := cache.NewStore(1024)
 			opt := base
 			opt.Cache = c
 			var warmHits int64

@@ -24,11 +24,7 @@ func (e *engine) verify() (bool, error) {
 	patched := aig.Transfer(e.w, e.w, piMap, e.implPOs)
 	res, err := cec.CheckLitsOpt(e.w, patched, e.specPOs, cec.CheckOptions{
 		OnSolver: e.group.add,
-		Cache:    e.solveCache(),
 	})
-	e.stats.CacheHits += res.CacheHits
-	e.stats.CacheMisses += res.CacheMisses
-	e.stats.CacheCollisions += res.CacheCollisions
 	if err != nil {
 		if errors.Is(err, cec.ErrGaveUp) {
 			// Interrupted (deadline): no verdict, so the patch cannot

@@ -43,8 +43,8 @@ type RecordType uint8
 
 // The record families the stack persists.
 const (
-	// RecSolve is retired: it held one solve-cache entry, and the
-	// solve cache is no longer persisted. Old data dirs may still
+	// RecSolve is retired: it held one entry of the SAT solve cache,
+	// which no longer exists. Old data dirs may still
 	// hold such records; owners skip them and compaction drops them.
 	// The value stays reserved so type 1 is never reused.
 	RecSolve RecordType = 1

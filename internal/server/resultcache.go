@@ -6,53 +6,37 @@ import (
 	"encoding/hex"
 	"io"
 	"sync"
-	"time"
 
 	"ecopatch/internal/eco"
 )
 
 // requestDigest hashes the solve-relevant content of one submission:
-// the raw netlist and weight sources plus every resolved engine
-// option that can change the answer. The job name is excluded (labels
-// do not change results). Two submissions with equal digests would
-// run the identical solve, so the daemon serves the second from the
-// first's result instead.
+// the raw netlist and weight sources, the engine options through
+// eco.Options.AppendKey (the encoding the window cache keys by), and
+// the resolved Timeout, which AppendKey leaves out but which decides
+// whether a job completes. The job name is excluded (labels do not
+// change results). Two submissions with equal digests would run the
+// identical solve, so the daemon serves the second from the first's
+// result instead.
 func requestDigest(req *JobRequest, opt eco.Options) string {
 	h := sha256.New()
-	ws := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+	var n [8]byte
+	wi := func(v uint64) {
+		binary.LittleEndian.PutUint64(n[:], v)
 		h.Write(n[:])
+	}
+	ws := func(s string) {
+		wi(uint64(len(s)))
 		io.WriteString(h, s)
 	}
-	wi := func(v int64) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(v))
-		h.Write(n[:])
-	}
-	wb := func(v bool) {
-		if v {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	ws("ecod-digest@v5")
+	ws("ecod-digest@v6")
 	ws(req.Impl)
 	ws(req.Spec)
 	ws(req.Weights)
-	wi(int64(opt.Support))
-	wi(int64(opt.Patch))
-	wb(opt.Window)
-	wb(opt.LastGasp)
-	wb(opt.CEGARMin)
-	wb(opt.FunctionalMatch)
-	wb(opt.UseQBF)
-	wb(opt.ForceStructural)
-	wi(opt.ConfBudget)
-	wi(int64(opt.MaxCubes))
-	wi(int64(opt.MaxQuantExpand))
-	wi(int64(opt.Timeout / time.Nanosecond))
+	for _, w := range opt.AppendKey(nil) {
+		wi(w)
+	}
+	wi(uint64(opt.Timeout))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -149,14 +133,7 @@ func (rc *resultCache) complete(digest, jobID string, cacheable bool, res *JobRe
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if cacheable && res != nil {
-		if _, ok := rc.done[digest]; !ok {
-			rc.done[digest] = &doneEntry{res: res, jobID: jobID}
-			rc.order = append(rc.order, digest)
-			for len(rc.order) > rc.max {
-				delete(rc.done, rc.order[0])
-				rc.order = rc.order[1:]
-			}
-		}
+		rc.insertLocked(digest, jobID, res)
 	}
 	fl, ok := rc.inflight[digest]
 	if !ok {
@@ -176,6 +153,12 @@ func (rc *resultCache) restore(digest, jobID string, res *JobResult) {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	rc.insertLocked(digest, jobID, res)
+}
+
+// insertLocked adds a completed result to the done cache. The first
+// insertion of a digest wins; past max entries the oldest is evicted.
+func (rc *resultCache) insertLocked(digest, jobID string, res *JobResult) {
 	if _, ok := rc.done[digest]; ok {
 		return
 	}

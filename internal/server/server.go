@@ -54,9 +54,11 @@ type Config struct {
 	// CacheEntries, when > 0, enables the daemon's two caches: the
 	// content-addressed result cache (completed results served
 	// instantly to identical submissions, in-flight duplicates
-	// attached to the job already solving them) and the shared
-	// eco/SAT solve cache handed to every job. Both are bounded to
-	// roughly this many entries. Zero disables caching entirely.
+	// attached to the job already solving them) and the engine's
+	// window store (QBF feasibility outcomes and per-target patches)
+	// shared by every job. Each holds at most this many entries; the
+	// window store also bounds its retained key words to 2048 times
+	// this. Zero disables caching entirely.
 	CacheEntries int
 	// Log receives operational lines; nil discards them.
 	Log *log.Logger
@@ -86,10 +88,10 @@ type Server struct {
 	metrics *Metrics
 
 	// rcache dedupes whole jobs by input digest; ecoCache is the
-	// shared solve/window cache threaded into every job's options.
+	// shared window store threaded into every job's options.
 	// Both are nil when Config.CacheEntries is zero.
 	rcache   *resultCache
-	ecoCache *cache.Cache
+	ecoCache *cache.Store
 
 	// persist is the on-disk durability layer (nil without DataDir);
 	// start stamps boot time for the uptime gauge.
@@ -125,7 +127,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheEntries > 0 {
 		s.rcache = newResultCache(cfg.CacheEntries)
-		s.ecoCache = cache.New(cfg.CacheEntries)
+		s.ecoCache = cache.NewStore(cfg.CacheEntries)
 	}
 	s.store.onFinish = s.jobFinished
 	if cfg.DataDir != "" {
@@ -554,8 +556,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.rcache != nil {
 		g.cacheEnabled = true
 		g.cacheEntries = s.rcache.entries()
-		g.solveCacheStats = s.ecoCache.Solve.Stats()
-		g.windowCacheStats = s.ecoCache.Window.Stats()
+		g.windowCacheStats = s.ecoCache.Stats()
 	}
 	g.uptimeSec = time.Since(s.start).Seconds()
 	if s.persist != nil {

@@ -5,6 +5,10 @@ set -eux
 
 go build ./...
 go vet ./...
+# perfbench is its own module, so the root build above does not see
+# it; build and vet it too, or an engine API change can break it
+# unnoticed.
+(cd perfbench && go build ./... && go vet ./...)
 # Every Go file must be gofmt-clean.
 test -z "$(gofmt -l .)"
 go test ./...
