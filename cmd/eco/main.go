@@ -21,30 +21,22 @@ import (
 	"ecopatch"
 	"ecopatch/internal/aig"
 	"ecopatch/internal/blif"
+	"ecopatch/internal/eco"
 	"ecopatch/internal/netlist"
 )
 
 // jsonReport is the machine-readable result of a run (-json flag).
 type jsonReport struct {
-	Instance   string             `json:"instance"`
-	Feasible   bool               `json:"feasible"`
-	Verified   bool               `json:"verified"`
-	TotalCost  int                `json:"total_cost"`
-	TotalGates int                `json:"total_gates"`
-	ElapsedSec float64            `json:"elapsed_sec"`
-	TimedOut   bool               `json:"timed_out,omitempty"`
-	Targets    []jsonTargetReport `json:"targets"`
-	PatchFile  string             `json:"patch_file,omitempty"`
-	Patch      string             `json:"patch,omitempty"`
-}
-
-type jsonTargetReport struct {
-	Target     string   `json:"target"`
-	Support    []string `json:"support"`
-	Cost       int      `json:"cost"`
-	Gates      int      `json:"gates"`
-	Cubes      int      `json:"cubes"`
-	Structural bool     `json:"structural"`
+	Instance   string                 `json:"instance"`
+	Feasible   bool                   `json:"feasible"`
+	Verified   bool                   `json:"verified"`
+	TotalCost  int                    `json:"total_cost"`
+	TotalGates int                    `json:"total_gates"`
+	ElapsedSec float64                `json:"elapsed_sec"`
+	TimedOut   bool                   `json:"timed_out,omitempty"`
+	Targets    []ecopatch.TargetPatch `json:"targets"`
+	PatchFile  string                 `json:"patch_file,omitempty"`
+	Patch      string                 `json:"patch,omitempty"`
 }
 
 func main() {
@@ -72,23 +64,11 @@ func main() {
 		fatal(err)
 	}
 	opt := ecopatch.DefaultOptions()
-	switch *support {
-	case "final":
-		opt.Support = ecopatch.SupportAnalyzeFinal
-	case "minimize":
-		opt.Support = ecopatch.SupportMinimize
-	case "exact":
-		opt.Support = ecopatch.SupportExact
-	default:
-		fatal(fmt.Errorf("unknown -support %q", *support))
+	if opt.Support, err = eco.ParseSupportAlgo(*support); err != nil {
+		fatal(err)
 	}
-	switch *patchAlgo {
-	case "cubes":
-		opt.Patch = ecopatch.PatchCubeEnum
-	case "interp":
-		opt.Patch = ecopatch.PatchInterpolation
-	default:
-		fatal(fmt.Errorf("unknown -patch %q", *patchAlgo))
+	if opt.Patch, err = eco.ParsePatchMethod(*patchAlgo); err != nil {
+		fatal(err)
 	}
 	opt.ForceStructural = *structural
 	opt.Window = !*noWindow
@@ -190,12 +170,7 @@ func emitJSON(inst *ecopatch.Instance, res *ecopatch.Result, out string) {
 		TotalGates: res.TotalGates,
 		ElapsedSec: res.Elapsed.Seconds(),
 		TimedOut:   res.TimedOut,
-	}
-	for _, p := range res.Patches {
-		rep.Targets = append(rep.Targets, jsonTargetReport{
-			Target: p.Target, Support: p.Support, Cost: p.Cost,
-			Gates: p.Gates, Cubes: p.Cubes, Structural: p.Structural,
-		})
+		Targets:    res.Patches,
 	}
 	if res.Patch != nil {
 		var sb strings.Builder

@@ -38,8 +38,9 @@ type JSONRow struct {
 }
 
 // JSONCell is one (unit, mode) result with per-stage timings and
-// aggregated SAT-kernel counters. The counter fields are additive
-// extensions; the schema stays ecobench/table1@v1.
+// aggregated SAT-kernel counters: the cell type of Table1Row, the
+// ecobench -json report and the ecod job result alike. The counter
+// fields are additive extensions; the schema stays ecobench/table1@v1.
 type JSONCell struct {
 	Cost       int     `json:"cost"`
 	PatchGates int     `json:"patch_gates"`
@@ -75,45 +76,43 @@ type JSONCell struct {
 	SimPatterns int64 `json:"sim_patterns,omitempty"`
 }
 
-// cellFromAlgo maps one sweep cell into its JSON form.
-func cellFromAlgo(a AlgoResult) JSONCell {
-	return JSONCell{
-		Cost:       a.Cost,
-		PatchGates: a.PatchGates,
-		Seconds:    a.Seconds,
-		SupportSec: a.SupportSec,
-		PatchSec:   a.PatchSec,
-		VerifySec:  a.VerifySec,
-		Verified:   a.Verified,
-		Feasible:   a.Feasible,
-		Structural: a.Structural,
-		TimedOut:   a.TimedOut,
-
-		SATCalls:     a.SATCalls,
-		Conflicts:    a.Conflicts,
-		Decisions:    a.Decisions,
-		Propagations: a.Propagations,
-		Restarts:     a.Restarts,
-		Learnts:      a.Learnts,
-		LearntEvict:  a.LearntEvict,
-
-		CacheHits:       a.CacheHits,
-		CacheMisses:     a.CacheMisses,
-		CacheCollisions: a.CacheCollisions,
-
-		SimElided:   a.SimElided,
-		SimPruned:   a.SimPruned,
-		SimPatterns: a.SimPatterns,
-	}
-}
-
-// CellFromResult converts one engine result straight into the
-// table1@v1 cell form. The Table-1 sweep and the ecod job-result
-// writer both go through this mapping, so a job result retrieved over
-// HTTP and a benchmark cell written by ecobench -json stay
-// field-compatible for downstream trend tooling.
+// CellFromResult converts one engine result into the table1@v1 cell
+// form: the one mapping from eco.Result to a cell. The Table-1 sweep,
+// ecobench -json and the ecod job-result writer all go through it, so
+// a job result retrieved over HTTP and a benchmark cell written by
+// ecobench -json stay field-compatible for downstream trend tooling.
+// sat_calls is the kernel's Solve() count (Stats.Solver.SolveCalls),
+// not the engine's query count Stats.SATCalls.
 func CellFromResult(res *eco.Result) JSONCell {
-	return cellFromAlgo(AlgoFromResult(res))
+	st := &res.Stats
+	return JSONCell{
+		Cost:       res.TotalCost,
+		PatchGates: res.TotalGates,
+		Seconds:    res.Elapsed.Seconds(),
+		SupportSec: st.SupportTime.Seconds(),
+		PatchSec:   st.PatchTime.Seconds(),
+		VerifySec:  st.VerifyTime.Seconds(),
+		Verified:   res.Verified,
+		Feasible:   res.Feasible,
+		Structural: st.StructuralFixes,
+		TimedOut:   res.TimedOut,
+
+		SATCalls:     st.Solver.SolveCalls,
+		Conflicts:    st.Solver.Conflicts,
+		Decisions:    st.Solver.Decisions,
+		Propagations: st.Solver.Propagations,
+		Restarts:     st.Solver.Restarts,
+		Learnts:      st.Solver.Learnts,
+		LearntEvict:  st.Solver.Removed,
+
+		CacheHits:       st.CacheHits,
+		CacheMisses:     st.CacheMisses,
+		CacheCollisions: st.CacheCollisions,
+
+		SimElided:   st.SimElided,
+		SimPruned:   st.SimPruned,
+		SimPatterns: st.SimPatterns,
+	}
 }
 
 // NewJSONReport converts a finished sweep into the report form.
@@ -144,11 +143,9 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 			Results:   make(map[string]JSONCell, len(r.Results)),
 		}
 		for _, m := range modes {
-			a, ok := r.Results[m]
-			if !ok {
-				continue
+			if c, ok := r.Results[m]; ok {
+				jr.Results[m] = c
 			}
-			jr.Results[m] = cellFromAlgo(a)
 		}
 		rep.Rows = append(rep.Rows, jr)
 	}

@@ -22,41 +22,9 @@ const (
 // Modes lists the three Table-1 configurations in column order.
 var Modes = []string{ModeBaseline, ModeMinAssume, ModeExact}
 
-// AlgoResult is one (unit, mode) cell group of Table 1.
-type AlgoResult struct {
-	Cost       int
-	PatchGates int
-	Seconds    float64
-	SupportSec float64 // support-selection wall clock (incl. last-gasp)
-	PatchSec   float64 // patch-function computation wall clock
-	VerifySec  float64 // final equivalence-check wall clock
-	Verified   bool
-	Feasible   bool
-	Structural int  // targets patched structurally
-	TimedOut   bool // deadline fired; result is the degraded partial
-
-	// Aggregated SAT-kernel counters over every solver of the cell.
-	SATCalls     int64
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
-	Restarts     int64
-	Learnts      int64
-	LearntEvict  int64
-
-	// Window-store counters (zero unless the cell ran with a cache
-	// attached).
-	CacheHits       int64
-	CacheMisses     int64
-	CacheCollisions int64
-
-	// Simulation-layer counters.
-	SimElided   int64
-	SimPruned   int64
-	SimPatterns int64
-}
-
 // Table1Row aggregates one benchmark unit across the three modes.
+// Results holds each mode's cell in its table1@v1 JSON form, built by
+// CellFromResult.
 type Table1Row struct {
 	Unit    string
 	PIs     int
@@ -64,7 +32,7 @@ type Table1Row struct {
 	GatesF  int
 	GatesS  int
 	Targets int
-	Results map[string]AlgoResult
+	Results map[string]JSONCell
 }
 
 // Table1Options maps a mode name to engine options. structural marks
@@ -125,7 +93,7 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 		GatesF:  inst.Impl.NumGates(),
 		GatesS:  inst.Spec.NumGates(),
 		Targets: cfg.Targets,
-		Results: make(map[string]AlgoResult),
+		Results: make(map[string]JSONCell),
 	}
 	opt, err := Table1Options(mode, StructuralUnits[cfg.Name])
 	if err != nil {
@@ -137,43 +105,8 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	if err != nil {
 		return row, fmt.Errorf("%s/%s: %w", cfg.Name, mode, err)
 	}
-	row.Results[mode] = AlgoFromResult(res)
+	row.Results[mode] = CellFromResult(res)
 	return row, nil
-}
-
-// AlgoFromResult flattens an engine result into the Table-1 cell
-// form. Exported alongside CellFromResult so every result writer
-// (harness, ecobench JSON, the ecod daemon) extracts the same fields
-// from eco.Result the same way.
-func AlgoFromResult(res *eco.Result) AlgoResult {
-	return AlgoResult{
-		Cost:       res.TotalCost,
-		PatchGates: res.TotalGates,
-		Seconds:    res.Elapsed.Seconds(),
-		SupportSec: res.Stats.SupportTime.Seconds(),
-		PatchSec:   res.Stats.PatchTime.Seconds(),
-		VerifySec:  res.Stats.VerifyTime.Seconds(),
-		Verified:   res.Verified,
-		Feasible:   res.Feasible,
-		Structural: res.Stats.StructuralFixes,
-		TimedOut:   res.TimedOut,
-
-		SATCalls:     res.Stats.Solver.SolveCalls,
-		Conflicts:    res.Stats.Solver.Conflicts,
-		Decisions:    res.Stats.Solver.Decisions,
-		Propagations: res.Stats.Solver.Propagations,
-		Restarts:     res.Stats.Solver.Restarts,
-		Learnts:      res.Stats.Solver.Learnts,
-		LearntEvict:  res.Stats.Solver.Removed,
-
-		CacheHits:       res.Stats.CacheHits,
-		CacheMisses:     res.Stats.CacheMisses,
-		CacheCollisions: res.Stats.CacheCollisions,
-
-		SimElided:   res.Stats.SimElided,
-		SimPruned:   res.Stats.SimPruned,
-		SimPatterns: res.Stats.SimPatterns,
-	}
 }
 
 // RunOptions parameterizes a Table-1 sweep.
@@ -268,7 +201,7 @@ func RunTable1With(opts RunOptions, w io.Writer) ([]Table1Row, error) {
 
 	rows := make([]Table1Row, 0, len(units))
 	for ui := range units {
-		row := Table1Row{Results: make(map[string]AlgoResult)}
+		row := Table1Row{Results: make(map[string]JSONCell)}
 		for mi, mode := range modes {
 			c := cells[ui*len(modes)+mi]
 			if c.err != nil {
@@ -315,9 +248,9 @@ func PrintTable1(w io.Writer, rows []Table1Row, modes []string) {
 	base := modes[0]
 	fmt.Fprintf(w, "%-42s", "geomean ratio vs "+base)
 	for _, m := range modes {
-		cr := geomeanRatio(rows, base, m, func(a AlgoResult) float64 { return float64(a.Cost) })
-		gr := geomeanRatio(rows, base, m, func(a AlgoResult) float64 { return float64(a.PatchGates) })
-		tr := geomeanRatio(rows, base, m, func(a AlgoResult) float64 { return a.Seconds })
+		cr := geomeanRatio(rows, base, m, func(a JSONCell) float64 { return float64(a.Cost) })
+		gr := geomeanRatio(rows, base, m, func(a JSONCell) float64 { return float64(a.PatchGates) })
+		tr := geomeanRatio(rows, base, m, func(a JSONCell) float64 { return a.Seconds })
 		fmt.Fprintf(w, " | %9.2f %7.2f %7.2fx", cr, gr, tr)
 	}
 	fmt.Fprintln(w)
@@ -330,7 +263,7 @@ func PrintTable1(w io.Writer, rows []Table1Row, modes []string) {
 // patch) cannot collapse the whole product to zero. The epsilon is
 // 1e-3, not machine-tiny, so count metrics in {0,1,2,...} keep a
 // sane scale.
-func geomeanRatio(rows []Table1Row, base, mode string, metric func(AlgoResult) float64) float64 {
+func geomeanRatio(rows []Table1Row, base, mode string, metric func(JSONCell) float64) float64 {
 	const eps = 1e-3
 	sum := 0.0
 	n := 0

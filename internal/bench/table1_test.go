@@ -78,23 +78,23 @@ func TestRunUnitAllModesOnSmallUnit(t *testing.T) {
 
 func TestGeomeanRatio(t *testing.T) {
 	rows := []Table1Row{
-		{Unit: "a", Results: map[string]AlgoResult{
+		{Unit: "a", Results: map[string]JSONCell{
 			"x": {Cost: 100}, "y": {Cost: 25},
 		}},
-		{Unit: "b", Results: map[string]AlgoResult{
+		{Unit: "b", Results: map[string]JSONCell{
 			"x": {Cost: 100}, "y": {Cost: 100},
 		}},
 	}
-	got := geomeanRatio(rows, "x", "y", func(a AlgoResult) float64 { return float64(a.Cost) })
+	got := geomeanRatio(rows, "x", "y", func(a JSONCell) float64 { return float64(a.Cost) })
 	// sqrt(0.25 * 1.0) = 0.5
 	if got < 0.49 || got > 0.51 {
 		t.Fatalf("geomean = %v, want 0.5", got)
 	}
 	// Zero entries are skipped, not fatal.
-	rows = append(rows, Table1Row{Unit: "c", Results: map[string]AlgoResult{
+	rows = append(rows, Table1Row{Unit: "c", Results: map[string]JSONCell{
 		"x": {Cost: 0}, "y": {Cost: 5},
 	}})
-	got2 := geomeanRatio(rows, "x", "y", func(a AlgoResult) float64 { return float64(a.Cost) })
+	got2 := geomeanRatio(rows, "x", "y", func(a JSONCell) float64 { return float64(a.Cost) })
 	if got2 != got {
 		t.Fatalf("zero row not skipped: %v vs %v", got2, got)
 	}

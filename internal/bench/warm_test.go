@@ -33,7 +33,7 @@ func TestRunTable1Warm(t *testing.T) {
 	}
 	// Strip the pass-dependent fields (wall clock, cache traffic, and
 	// the work counters a cache hit skips); everything else must match.
-	norm := func(a AlgoResult) AlgoResult {
+	norm := func(a JSONCell) JSONCell {
 		a.Seconds, a.SupportSec, a.PatchSec, a.VerifySec = 0, 0, 0, 0
 		a.CacheHits, a.CacheMisses, a.CacheCollisions = 0, 0, 0
 		a.SATCalls, a.Conflicts, a.Decisions, a.Propagations = 0, 0, 0, 0

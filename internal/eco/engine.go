@@ -176,14 +176,15 @@ func (o Options) AppendKey(buf []uint64) []uint64 {
 		uint64(o.ExactTimeout))
 }
 
-// TargetPatch describes the patch computed for one target.
+// TargetPatch describes the patch computed for one target. Its JSON
+// form is the target entry of both eco -json and ecod's job result.
 type TargetPatch struct {
-	Target     string
-	Support    []string // impl signal names feeding the patch
-	Cost       int      // sum of support weights (each signal counted once globally)
-	Gates      int      // AND nodes of the factored patch cone
-	Cubes      int      // SOP cubes (0 for structural patches)
-	Structural bool     // true when derived by the §3.6 fallback
+	Target     string   `json:"target"`
+	Support    []string `json:"support"`              // impl signal names feeding the patch
+	Cost       int      `json:"cost"`                 // sum of support weights (each signal counted once globally)
+	Gates      int      `json:"gates"`                // AND nodes of the factored patch cone
+	Cubes      int      `json:"cubes,omitempty"`      // SOP cubes (0 for structural patches)
+	Structural bool     `json:"structural,omitempty"` // true when derived by the §3.6 fallback
 }
 
 // Stats aggregates engine counters for the experiment harness.
@@ -195,7 +196,6 @@ type Stats struct {
 	// invocations, including the minimizer's — those are additionally
 	// broken out in MinimizeCalls.)
 	SATCalls        int64
-	Conflicts       int64
 	MinimizeCalls   int // SAT calls spent inside support minimization
 	MiterCopies     int // cofactor copies built for universal quantification
 	QBFCopies       int // copies used by the 2QBF CEGAR check
@@ -239,7 +239,6 @@ type Stats struct {
 // surface). Time fields add; counters add; Solver adds fieldwise.
 func (s *Stats) Add(o Stats) {
 	s.SATCalls += o.SATCalls
-	s.Conflicts += o.Conflicts
 	s.MinimizeCalls += o.MinimizeCalls
 	s.MiterCopies += o.MiterCopies
 	s.QBFCopies += o.QBFCopies
@@ -463,7 +462,6 @@ func (e *engine) cancelled() bool {
 func (e *engine) seal(ctx context.Context, start time.Time) *Result {
 	e.res.TimedOut = ctx.Err() != nil
 	e.stats.Solver = e.group.stats()
-	e.stats.Conflicts = e.stats.Solver.Conflicts
 	e.res.Stats = e.stats
 	e.res.Elapsed = time.Since(start)
 	return e.res

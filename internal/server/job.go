@@ -84,23 +84,16 @@ type JobOptions struct {
 // Eco materializes the engine options, starting from DefaultOptions.
 func (o JobOptions) Eco() (eco.Options, error) {
 	opt := eco.DefaultOptions()
-	switch strings.ToLower(o.Support) {
-	case "", "minimize":
-		opt.Support = eco.SupportMinimize
-	case "final":
-		opt.Support = eco.SupportAnalyzeFinal
-	case "exact":
-		opt.Support = eco.SupportExact
-	default:
-		return opt, fmt.Errorf("unknown support algorithm %q (want final, minimize or exact)", o.Support)
+	var err error
+	if o.Support != "" {
+		if opt.Support, err = eco.ParseSupportAlgo(o.Support); err != nil {
+			return opt, err
+		}
 	}
-	switch strings.ToLower(o.Patch) {
-	case "", "cubes":
-		opt.Patch = eco.PatchCubeEnum
-	case "interp":
-		opt.Patch = eco.PatchInterpolation
-	default:
-		return opt, fmt.Errorf("unknown patch method %q (want cubes or interp)", o.Patch)
+	if o.Patch != "" {
+		if opt.Patch, err = eco.ParsePatchMethod(o.Patch); err != nil {
+			return opt, err
+		}
 	}
 	if o.Window != nil {
 		opt.Window = *o.Window
@@ -191,7 +184,7 @@ type JobStatus struct {
 type JobResult struct {
 	Schema string `json:"schema"` // "ecod/result@v1"
 	bench.JSONCell
-	Targets []TargetResult `json:"targets,omitempty"`
+	Targets []eco.TargetPatch `json:"targets,omitempty"`
 	// Patch is the synthesized patch module in the contest netlist
 	// format (inputs = support signals, outputs = targets).
 	Patch string `json:"patch,omitempty"`
@@ -200,31 +193,12 @@ type JobResult struct {
 // ResultSchema identifies the JobResult layout.
 const ResultSchema = "ecod/result@v1"
 
-// TargetResult mirrors eco.TargetPatch on the wire.
-type TargetResult struct {
-	Target     string   `json:"target"`
-	Support    []string `json:"support"`
-	Cost       int      `json:"cost"`
-	Gates      int      `json:"gates"`
-	Cubes      int      `json:"cubes,omitempty"`
-	Structural bool     `json:"structural,omitempty"`
-}
-
 // resultFromEco flattens an engine result into the wire form.
 func resultFromEco(res *eco.Result) *JobResult {
 	jr := &JobResult{
 		Schema:   ResultSchema,
 		JSONCell: bench.CellFromResult(res),
-	}
-	for _, p := range res.Patches {
-		jr.Targets = append(jr.Targets, TargetResult{
-			Target:     p.Target,
-			Support:    p.Support,
-			Cost:       p.Cost,
-			Gates:      p.Gates,
-			Cubes:      p.Cubes,
-			Structural: p.Structural,
-		})
+		Targets:  res.Patches,
 	}
 	if res.Patch != nil {
 		var sb strings.Builder

@@ -57,7 +57,7 @@ type Metrics struct {
 	queueWait *histogram // seconds from enqueue to worker pickup
 	solveTime *histogram // seconds inside eco.SolveContext
 
-	// stats sums the engine counters of every finished job, the
+	// stats sums the eco.Stats of every job that ran a solve, the
 	// service-level continuation of ecobench's per-run cells.
 	stats eco.Stats
 }
@@ -121,7 +121,8 @@ func (m *Metrics) QueueWait(d time.Duration) {
 }
 
 // Finished records a terminal transition with the job's solve wall
-// clock and, when a solve actually ran, its engine stats.
+// clock and, when the job ran a solve itself, the engine's stats of
+// that solve (nil otherwise).
 func (m *Metrics) Finished(state State, solve time.Duration, stats *eco.Stats) {
 	m.mu.Lock()
 	m.finished[state]++
@@ -132,13 +133,6 @@ func (m *Metrics) Finished(state State, solve time.Duration, stats *eco.Stats) {
 		m.stats.Add(*stats)
 	}
 	m.mu.Unlock()
-}
-
-// SolverStats snapshots the aggregated engine counters.
-func (m *Metrics) SolverStats() eco.Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // gauges the exposition needs but Metrics does not own.
@@ -263,11 +257,12 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	writeHistogram(w, "ecod_queue_wait_seconds", "Time jobs spent queued before a worker picked them up.", m.queueWait)
 	writeHistogram(w, "ecod_solve_seconds", "Wall-clock time inside eco.SolveContext.", m.solveTime)
 
-	// Engine + SAT-kernel counters, summed over every finished job:
-	// the same numbers ecobench reports per run, as a live service
-	// surface.
+	// Engine + SAT-kernel counters: eco.Stats summed over every job
+	// that ran a solve, each counter one field. A table1@v1 cell's
+	// sat_calls is Solver.SolveCalls (ecod_sat_solve_calls_total), not
+	// SATCalls (ecod_eco_sat_calls_total).
 	st := m.stats
-	counter("ecod_eco_sat_calls_total", "Top-level SAT queries issued by the engine.", st.SATCalls)
+	counter("ecod_eco_sat_calls_total", "Top-level SAT queries issued by the engine, including those answered by the pattern bank.", st.SATCalls)
 	counter("ecod_eco_minimize_calls_total", "SAT calls spent inside support minimization.", int64(st.MinimizeCalls))
 	counter("ecod_eco_structural_fixes_total", "Targets patched by the structural fallback.", int64(st.StructuralFixes))
 	counter("ecod_eco_cubes_enumerated_total", "SOP cubes enumerated for patch functions.", int64(st.CubesEnumerated))

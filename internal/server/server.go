@@ -193,13 +193,13 @@ func (s *Server) runJob(j *Job) {
 	switch {
 	case err != nil:
 		s.cfg.Log.Printf("job %s failed after %v: %v", j.ID, elapsed.Round(time.Millisecond), err)
-		s.store.Finish(j, StateFailed, err.Error(), nil)
+		s.store.Finish(j, StateFailed, err.Error(), nil, nil)
 	case res.TimedOut && s.store.UserCancelled(j):
-		s.store.Finish(j, StateCancelled, "job cancelled", resultFromEco(res))
+		s.store.Finish(j, StateCancelled, "job cancelled", resultFromEco(res), &res.Stats)
 	case res.TimedOut:
-		s.store.Finish(j, StateTimeout, "deadline exceeded; partial result attached", resultFromEco(res))
+		s.store.Finish(j, StateTimeout, "deadline exceeded; partial result attached", resultFromEco(res), &res.Stats)
 	default:
-		s.store.Finish(j, StateDone, "", resultFromEco(res))
+		s.store.Finish(j, StateDone, "", resultFromEco(res), &res.Stats)
 	}
 }
 
@@ -224,41 +224,14 @@ func (s *Server) persistJob(j *Job, durable bool) {
 }
 
 // jobFinished is the store's terminal-transition hook: metrics and
-// the optional on-disk result file.
-func (s *Server) jobFinished(j *Job, status JobStatus) {
+// the optional on-disk result file. stats is nil unless the job ran a
+// solve itself; jobs finished without one (cancelled while queued,
+// dedup waiters, instant cache hits) carry a copy of some other run's
+// result, or none, and add nothing to the engine counters.
+func (s *Server) jobFinished(j *Job, status JobStatus, stats *eco.Stats) {
 	var solve time.Duration
 	if status.StartedAt != nil && status.FinishedAt != nil {
 		solve = status.FinishedAt.Sub(*status.StartedAt)
-	}
-	var stats *eco.Stats
-	// Aggregate engine counters only for jobs that actually ran a
-	// solve. Jobs finished without starting — cancelled while queued,
-	// dedup waiters, and instant cache hits — carry a copy of some
-	// other run's result (or none), and folding that copy in would
-	// count the same solve's work once per duplicate.
-	if status.Result != nil && status.StartedAt != nil {
-		// Reconstruct the counters the metrics surface aggregates
-		// from the wire cell (the full eco.Stats is not retained).
-		stats = &eco.Stats{
-			SATCalls:        status.Result.SATCalls,
-			StructuralFixes: status.Result.Structural,
-			SupportTime:     time.Duration(status.Result.SupportSec * float64(time.Second)),
-			PatchTime:       time.Duration(status.Result.PatchSec * float64(time.Second)),
-			VerifyTime:      time.Duration(status.Result.VerifySec * float64(time.Second)),
-		}
-		stats.Solver.SolveCalls = status.Result.SATCalls
-		stats.Solver.Conflicts = status.Result.Conflicts
-		stats.Solver.Decisions = status.Result.Decisions
-		stats.Solver.Propagations = status.Result.Propagations
-		stats.Solver.Restarts = status.Result.Restarts
-		stats.Solver.Learnts = status.Result.Learnts
-		stats.Solver.Removed = status.Result.LearntEvict
-		stats.CacheHits = status.Result.CacheHits
-		stats.CacheMisses = status.Result.CacheMisses
-		stats.CacheCollisions = status.Result.CacheCollisions
-		stats.SimElided = status.Result.SimElided
-		stats.SimPruned = status.Result.SimPruned
-		stats.SimPatterns = status.Result.SimPatterns
 	}
 	s.metrics.Finished(status.State, solve, stats)
 	s.cfg.Log.Printf("job %s (%s) -> %s", j.ID, j.Name, status.State)
@@ -277,7 +250,7 @@ func (s *Server) jobFinished(j *Job, status JobStatus) {
 	if s.rcache != nil && j.digest != "" {
 		waiters := s.rcache.complete(j.digest, j.ID, status.State == StateDone, status.Result)
 		for _, wj := range waiters {
-			s.store.Finish(wj, status.State, status.Error, status.Result)
+			s.store.Finish(wj, status.State, status.Error, status.Result, nil)
 		}
 	}
 
@@ -313,7 +286,7 @@ sweep:
 	for {
 		select {
 		case j := <-s.queue:
-			s.store.Finish(j, StateCancelled, "server draining", nil)
+			s.store.Finish(j, StateCancelled, "server draining", nil, nil)
 		default:
 			break sweep
 		}
@@ -336,7 +309,7 @@ sweep:
 	for {
 		select {
 		case j := <-s.queue:
-			s.store.Finish(j, StateCancelled, "server draining", nil)
+			s.store.Finish(j, StateCancelled, "server draining", nil, nil)
 		default:
 			// Every Finish has run by now, so the log holds the final
 			// state of every job; seal it before declaring the drain
@@ -431,7 +404,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.metrics.CacheHit()
 			s.metrics.Submitted()
 			s.store.Register(j)
-			s.store.Finish(j, StateDone, "", res)
+			s.store.Finish(j, StateDone, "", res, nil)
 			s.respondSubmitted(w, j)
 			return
 		} else if attached {

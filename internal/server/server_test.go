@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -138,37 +140,122 @@ func TestEndToEndRealSolve(t *testing.T) {
 	_ = s
 }
 
-// TestSimMetricsSurface pins that the simulation counters of finished
-// jobs are summed into /metrics.
-func TestSimMetricsSurface(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+// fillDistinct sets every integer field of *st, the nested sat.Stats
+// included, to a distinct positive value.
+func fillDistinct(t *testing.T, st *eco.Stats) {
+	n := int64(0)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Int, reflect.Int64:
+			n++
+			v.SetInt(n)
+		default:
+			t.Fatalf("unhandled eco.Stats field kind %s", v.Kind())
+		}
+	}
+	walk(reflect.ValueOf(st).Elem())
+}
+
+// TestStatsMetricsSurface pins /metrics to the engine's own Stats. The
+// one solve sets a distinct value in every eco.Stats field, and each
+// ecod_eco_*, ecod_sim_* and ecod_sat_* counter must equal the field
+// it names, once: the dedup waiter, the cache hit and the job
+// cancelled while queued add nothing.
+func TestStatsMetricsSurface(t *testing.T) {
+	var stats eco.Stats
+	fillDistinct(t, &stats)
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
 	s.solve = func(ctx context.Context, inst *eco.Instance, opt eco.Options) (*eco.Result, error) {
-		res := &eco.Result{Feasible: true, Verified: true}
-		res.Stats.SimElided = 7
-		res.Stats.SimPruned = 3
-		res.Stats.SimPatterns = 11
-		return res, nil
+		started <- inst.Name
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return &eco.Result{Feasible: true, Verified: true, Stats: stats}, nil
 	}
 	ctx := context.Background()
-	st, err := c.Submit(ctx, testRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(ctx, st.ID, 2*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range map[string]int64{
-		"ecod_sim_elided_total":          7,
-		"ecod_sim_pruned_divisors_total": 3,
-		"ecod_sim_patterns_total":        11,
-	} {
-		if got := metricValue(t, text, name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	submit := func(req JobRequest) JobStatus {
+		t.Helper()
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return st
+	}
+	first := submit(testRequest())
+	<-started
+	waiter := submit(testRequest())
+	if waiter.DedupOf != first.ID {
+		t.Fatalf("duplicate did not attach: %+v", waiter)
+	}
+	other := testRequest()
+	other.Options.ConfBudget = 7
+	queued := submit(other)
+	if st, err := c.Cancel(ctx, queued.ID); err != nil || st.State != StateCancelled {
+		t.Fatalf("cancel queued job: %v %+v", err, st)
+	}
+	close(release)
+	// The waiter finishes only after the first job's result is cached.
+	if st, err := c.Wait(ctx, waiter.ID, 2*time.Millisecond); err != nil || st.State != StateDone {
+		t.Fatalf("attached duplicate: %v %+v", err, st)
+	}
+	if hit := submit(testRequest()); hit.State != StateDone || hit.DedupOf != first.ID {
+		t.Fatalf("identical job not served from the result cache: %+v", hit)
+	}
+	var text string
+	waitFor(t, func() bool {
+		var err error
+		text, err = c.Metrics(ctx)
+		return err == nil && strings.Contains(text, `ecod_jobs_finished_total{state="done"} 3`)
+	})
+
+	want := map[string]float64{
+		"ecod_eco_sat_calls_total":        float64(stats.SATCalls),
+		"ecod_eco_minimize_calls_total":   float64(stats.MinimizeCalls),
+		"ecod_eco_structural_fixes_total": float64(stats.StructuralFixes),
+		"ecod_eco_cubes_enumerated_total": float64(stats.CubesEnumerated),
+		"ecod_eco_cache_hits_total":       float64(stats.CacheHits),
+		"ecod_eco_cache_misses_total":     float64(stats.CacheMisses),
+		"ecod_eco_cache_collisions_total": float64(stats.CacheCollisions),
+		"ecod_eco_support_seconds_total":  stats.SupportTime.Seconds(),
+		"ecod_eco_patch_seconds_total":    stats.PatchTime.Seconds(),
+		"ecod_eco_verify_seconds_total":   stats.VerifyTime.Seconds(),
+		"ecod_sim_elided_total":           float64(stats.SimElided),
+		"ecod_sim_pruned_divisors_total":  float64(stats.SimPruned),
+		"ecod_sim_patterns_total":         float64(stats.SimPatterns),
+		"ecod_sat_conflicts_total":        float64(stats.Solver.Conflicts),
+		"ecod_sat_decisions_total":        float64(stats.Solver.Decisions),
+		"ecod_sat_propagations_total":     float64(stats.Solver.Propagations),
+		"ecod_sat_restarts_total":         float64(stats.Solver.Restarts),
+		"ecod_sat_learnts_total":          float64(stats.Solver.Learnts),
+		"ecod_sat_learnts_removed_total":  float64(stats.Solver.Removed),
+		"ecod_sat_solve_calls_total":      float64(stats.Solver.SolveCalls),
+	}
+	seen := 0
+	for _, line := range strings.Split(text, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || !(strings.HasPrefix(name, "ecod_eco_") || strings.HasPrefix(name, "ecod_sim_") || strings.HasPrefix(name, "ecod_sat_")) {
+			continue
+		}
+		w, known := want[name]
+		if !known {
+			t.Errorf("%s has no eco.Stats field in this test", name)
+			continue
+		}
+		seen++
+		if got, err := strconv.ParseFloat(value, 64); err != nil || got != w {
+			t.Errorf("%s = %s, want %g", name, value, w)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("saw %d engine counters, want %d", seen, len(want))
 	}
 }
 

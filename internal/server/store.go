@@ -66,8 +66,9 @@ type Store struct {
 	maxJobs int
 
 	// onFinish observes every terminal transition (metrics, result
-	// files). Called without the store lock held.
-	onFinish func(*Job, JobStatus)
+	// files) with the engine stats of the solve the transition ends,
+	// nil when the job ran none. Called without the store lock held.
+	onFinish func(*Job, JobStatus, *eco.Stats)
 	// onEvict observes capacity evictions (n jobs dropped), called
 	// without the store lock held. The persist layer hooks it for
 	// garbage accounting.
@@ -310,8 +311,10 @@ func (st *Store) Start(j *Job, cancel context.CancelFunc) bool {
 }
 
 // Finish transitions a job to a terminal state with an optional
-// result. Idempotent: only the first terminal transition wins.
-func (st *Store) Finish(j *Job, state State, errMsg string, result *JobResult) {
+// result and the engine stats of the solve the job ran (nil when it
+// ran none, e.g. when it shares another job's result). Idempotent:
+// only the first terminal transition wins.
+func (st *Store) Finish(j *Job, state State, errMsg string, result *JobResult, stats *eco.Stats) {
 	st.mu.Lock()
 	if j.state.Terminal() {
 		st.mu.Unlock()
@@ -327,7 +330,7 @@ func (st *Store) Finish(j *Job, state State, errMsg string, result *JobResult) {
 	close(j.done)
 	st.mu.Unlock()
 	if onFinish != nil {
-		onFinish(j, status)
+		onFinish(j, status, stats)
 	}
 }
 
@@ -352,7 +355,7 @@ func (st *Store) Cancel(id, reason string) (JobStatus, bool) {
 		close(j.done)
 		st.mu.Unlock()
 		if onFinish != nil {
-			onFinish(j, status)
+			onFinish(j, status, nil)
 		}
 		return status, true
 	case j.state == StateRunning:

@@ -55,17 +55,19 @@ grep -q '"verified": true' "$workdir/result_dup.json" || {
 grep -q '"dedup_of"' "$workdir/result_dup.json" || {
 	echo "FAIL: duplicate not marked dedup_of"; cat "$workdir/result_dup.json"; exit 1; }
 
-# The metrics surface must show the finished jobs, nonzero solver
-# counters from the real solves, and exactly one result-cache hit from
-# the duplicate submit.
+# The metrics surface must show the finished jobs, nonzero solver and
+# engine counters from the real solve (unit1 under the defaults makes
+# minimize_assumptions calls and enumerates cubes), and exactly one
+# result-cache hit from the duplicate submit.
 "$ECOD" metrics -server "$base" >"$workdir/metrics.txt"
 grep -q 'ecod_jobs_finished_total{state="done"} 2' "$workdir/metrics.txt" || {
 	echo "FAIL: finished counter missing"; cat "$workdir/metrics.txt"; exit 1; }
 grep -q '^ecod_cache_hits_total 1$' "$workdir/metrics.txt" || {
 	echo "FAIL: result-cache hit not counted"; cat "$workdir/metrics.txt"; exit 1; }
-if grep -qE '^ecod_sat_solve_calls_total 0$' "$workdir/metrics.txt"; then
-	echo "FAIL: solver counters stayed zero"; cat "$workdir/metrics.txt"; exit 1
-fi
+for counter in ecod_sat_solve_calls_total ecod_eco_minimize_calls_total ecod_eco_cubes_enumerated_total; do
+	grep -qE "^$counter [1-9]" "$workdir/metrics.txt" || {
+		echo "FAIL: $counter missing or zero"; cat "$workdir/metrics.txt"; exit 1; }
+done
 
 # One result file per finished job, written atomically (the writer
 # runs just after the terminal state becomes visible, so poll).
