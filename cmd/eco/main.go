@@ -49,7 +49,7 @@ func main() {
 		noWindow   = flag.Bool("no-window", false, "disable structural pruning (§3.3)")
 		noCegar    = flag.Bool("no-cegarmin", false, "disable CEGAR_min for structural patches")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline; on expiry the engine degrades to structural patches (0 = none)")
+		timeout    = flag.Duration("timeout", 0, "wall-clock deadline; on expiry before every target is patched the result carries no patch, after that it is unverified (0 = none)")
 		verbose    = flag.Bool("v", false, "log engine progress to stderr")
 		jsonOut    = flag.Bool("json", false, "emit a JSON report on stdout instead of text")
 	)
@@ -107,7 +107,11 @@ func main() {
 	fmt.Printf("total     cost=%d gates=%d verified=%v time=%v\n",
 		res.TotalCost, res.TotalGates, res.Verified, res.Elapsed.Round(1e6))
 	if res.TimedOut {
-		fmt.Println("WARNING: deadline expired; result is the degraded (structural) fallback")
+		if missing := unpatchedTargets(inst, res); len(missing) > 0 {
+			fmt.Printf("WARNING: deadline expired; no patch for %s\n", strings.Join(missing, ", "))
+		} else {
+			fmt.Println("WARNING: deadline expired after every target was patched")
+		}
 	}
 	if !res.Verified {
 		fmt.Println("WARNING: patch failed verification")
@@ -152,6 +156,22 @@ func writePatch(path string, patch *ecopatch.Netlist) error {
 	default:
 		return ecopatch.WriteNetlist(f, patch)
 	}
+}
+
+// unpatchedTargets lists, in netlist order, the targets res carries no
+// patch for.
+func unpatchedTargets(inst *ecopatch.Instance, res *ecopatch.Result) []string {
+	patched := make(map[string]bool, len(res.Patches))
+	for _, p := range res.Patches {
+		patched[p.Target] = true
+	}
+	var missing []string
+	for _, t := range inst.Impl.Targets() {
+		if !patched[t] {
+			missing = append(missing, t)
+		}
+	}
+	return missing
 }
 
 func fatal(err error) {

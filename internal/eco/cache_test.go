@@ -20,9 +20,19 @@ func snapshotResult(res *Result) string {
 // TestCacheDeterminism pins the cache contract: a run with an empty
 // cache, a run reusing a warm cache, and a run with no cache at all are
 // bit-for-bit identical — cache hits change wall clock only, never
-// verdicts, costs, or netlists.
+// verdicts, costs, or netlists. unit14 mixes 9 constant targets, which
+// the shared one-copy solver settles before any lookup, with 3 windows
+// the store serves; under a 100-conflict budget one constant check
+// comes back Unknown and some windows fall back to structural patches,
+// so the solver's carried-over state must not depend on hits.
 func TestCacheDeterminism(t *testing.T) {
-	for name, tc := range parallelCases(t) {
+	cases := parallelCases(t)
+	unit14 := loadTestdata(t, "unit14")
+	budget := DefaultOptions()
+	budget.ConfBudget = 100
+	cases["unit14"] = solveCase{unit14, DefaultOptions()}
+	cases["unit14-budget"] = solveCase{unit14, budget}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			base := tc.opt
 			// Reference: no cache.

@@ -25,22 +25,22 @@ and (w2, a, b);
 or  (g2, c, w2);
 endmodule`
 
+// solveCase is one instance with the options to solve it under.
+type solveCase struct {
+	inst *Instance
+	opt  Options
+}
+
 // parallelCases returns the instances the determinism tests sweep:
 // single target, multi target, and the cofactor-expansion feasibility
 // path (UseQBF off routes checkFeasible through one SAT call on the
 // quantified miter).
-func parallelCases(t *testing.T) map[string]struct {
-	inst *Instance
-	opt  Options
-} {
+func parallelCases(t *testing.T) map[string]solveCase {
 	t.Helper()
 	base := DefaultOptions()
 	noQBF := base
 	noQBF.UseQBF = false
-	return map[string]struct {
-		inst *Instance
-		opt  Options
-	}{
+	return map[string]solveCase{
 		"single":      {mustInstance(t, implAndTarget, specAndOr, nil), base},
 		"multi":       {mustInstance(t, implMultiTarget, specMultiTarget, nil), base},
 		"multi-noqbf": {mustInstance(t, implMultiTarget, specMultiTarget, nil), noQBF},

@@ -10,6 +10,7 @@ import (
 
 	"ecopatch/internal/aig"
 	"ecopatch/internal/cache"
+	"ecopatch/internal/cnf"
 	"ecopatch/internal/netlist"
 	"ecopatch/internal/sat"
 	"ecopatch/internal/sim"
@@ -202,6 +203,7 @@ type Stats struct {
 	Divisors        int // candidate divisors offered to support selection
 	WindowPOs       int // outputs kept by structural pruning
 	StructuralFixes int // targets patched by the structural fallback
+	ConstantTargets int // targets settled as constants by the one-copy check
 	CubesEnumerated int
 
 	// Simulation-layer counters: queries answered from the pattern
@@ -223,7 +225,7 @@ type Stats struct {
 
 	// Per-stage wall clock, summed over all targets, for the
 	// machine-readable perf trajectory (ecobench -json).
-	SupportTime time.Duration // support selection incl. last-gasp
+	SupportTime time.Duration // constant check, sufficiency proof, support selection incl. last-gasp
 	PatchTime   time.Duration // patch-function computation (SAT or structural)
 	VerifyTime  time.Duration // final equivalence checks
 
@@ -245,6 +247,7 @@ func (s *Stats) Add(o Stats) {
 	s.Divisors += o.Divisors
 	s.WindowPOs += o.WindowPOs
 	s.StructuralFixes += o.StructuralFixes
+	s.ConstantTargets += o.ConstantTargets
 	s.CubesEnumerated += o.CubesEnumerated
 	s.SimElided += o.SimElided
 	s.SimPruned += o.SimPruned
@@ -263,8 +266,9 @@ type Result struct {
 	Feasible bool // target set sufficient (expression (1) UNSAT)
 	Verified bool // patched implementation equivalent to spec
 	// TimedOut reports that Options.Timeout (or the caller's context)
-	// expired during the solve; the result is a best-effort partial
-	// answer — typically structural patches, possibly unverified.
+	// expired during the solve. If it expired before every target was
+	// patched, Patches is empty; otherwise the patches are usually
+	// unverified (see SolveContext).
 	TimedOut bool
 
 	Patches []TargetPatch
@@ -347,6 +351,10 @@ type engine struct {
 	inWindow    bool
 	winPatterns [][]bool
 
+	// oneCopy is the single-copy encoding of w that constantTarget
+	// queries, shared by one rectifyAll's whole target sequence.
+	oneCopy *cnf.Encoder
+
 	group solverGroup // every SAT solver of this run, for interrupts
 
 	stats Stats
@@ -377,9 +385,12 @@ func Solve(inst *Instance, opt Options) (*Result, error) {
 
 // SolveContext is Solve under a context: when ctx is canceled or its
 // deadline (or Options.Timeout, whichever is tighter) expires, every
-// active SAT solver is interrupted and the engine degrades to the
-// structural fallback, returning a partial result with TimedOut set
-// rather than hanging. Stats and Elapsed are always populated.
+// active SAT solver is interrupted and the engine stops at the next
+// stage boundary, returning a result with TimedOut set rather than
+// hanging. A run cut short before every target was patched carries no
+// patches (no structural fallback is built for a cancelled run); one
+// cut short later carries its patches unverified. Stats and Elapsed
+// are always populated.
 func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, error) {
 	start := time.Now()
 	if err := inst.Check(); err != nil {

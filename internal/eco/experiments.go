@@ -90,4 +90,8 @@ func (e *engine) rectifyAllInit() {
 	e.patches = make([]aig.Lit, k)
 	e.done = make([]bool, k)
 	e.usedSignals = make(map[string]bool)
+	e.oneCopy = nil
+	if !e.opt.ForceStructural {
+		e.oneCopy = cnf.NewEncoder(e.newSolver(), e.w)
+	}
 }

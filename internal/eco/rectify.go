@@ -32,6 +32,10 @@ func (e *engine) usedMoveGuidance() bool { return e.moveGuided }
 func (e *engine) rectifyAll(forceFullQuant bool) error {
 	e.fullQuantForced = forceFullQuant
 	e.moveGuided = false
+	// The constant-target solver rectifyAllInit creates lives for the
+	// whole sequence: registered outside every window's mark, it is
+	// interrupted by deadlines and its counters are folded once, here.
+	defer e.group.release(e.group.mark())
 	e.rectifyAllInit()
 	for i := range e.targets {
 		// Stage boundary: a cancelled run must not start the next
@@ -56,6 +60,11 @@ func (e *engine) rectifyAll(forceFullQuant bool) error {
 func (e *engine) rectifyOne(i int) error {
 	defer e.group.release(e.group.mark())
 	m0, m1 := e.cofactorMiters(i)
+	// The constant check runs before the cache lookup, so the shared
+	// solver sees the same query sequence in cached and uncached runs.
+	if done, err := e.constantTarget(i, m0, m1); done || err != nil {
+		return err
+	}
 	key := e.windowKey(i, m0, m1)
 	if key != nil {
 		if v, ok, coll := e.opt.Cache.Lookup(key); ok {
@@ -82,6 +91,55 @@ func (e *engine) rectifyOne(i int) error {
 	}
 	e.winPatterns = nil
 	return err
+}
+
+// constantTarget settles target i without the two-copy pipeline when
+// one cofactor miter is unsatisfiable on its own: if M_i(0,x) is, no
+// input needs the target at 1 and the constant-0 patch fits; if
+// M_i(1,x) is, constant 1 fits. Support selection would return the
+// empty support for such a target (every query assuming that root is
+// Unsat) and cube enumeration the empty cover or the universal cube,
+// so the installed patch is the one the pipeline computes. Both
+// queries go to one single-copy encoding of the working AIG shared by
+// the whole target sequence, so learnt clauses carry over from target
+// to target. Sat on both cofactors, or Unknown from ConfBudget, is no
+// verdict: the caller runs the pipeline.
+func (e *engine) constantTarget(i int, m0, m1 aig.Lit) (bool, error) {
+	if e.oneCopy == nil {
+		return false, nil
+	}
+	t0 := time.Now()
+	defer func() { e.stats.SupportTime += time.Since(t0) }()
+	// A cofactor some pattern satisfies needs no SAT call.
+	var hit [2]bool
+	for _, ws := range e.simRounds(e.simRNG(simConstSeed, i), simConstBankRounds, simConstRandRounds) {
+		words := e.simRun(ws)
+		hit[0] = hit[0] || aig.WordOf(words, m0) != 0
+		hit[1] = hit[1] || aig.WordOf(words, m1) != 0
+	}
+	for c, m := range []aig.Lit{m0, m1} {
+		if hit[c] {
+			continue
+		}
+		e.stats.SATCalls++
+		switch e.oneCopy.S.Solve(e.oneCopy.Lit(m)) {
+		case sat.Unsat:
+			e.logf("target %s: constant %d (one-copy check)", e.targets[i], c)
+			patch := aig.New()
+			patch.AddPO(e.targets[i], []aig.Lit{aig.ConstFalse, aig.ConstTrue}[c])
+			// A non-nil empty support, as the pipeline passes: JSON
+			// writes it as [] either way.
+			e.installPatch(i, patch, []string{}, false)
+			e.targetPatches[i].Cubes = c
+			e.stats.ConstantTargets++
+			return true, nil
+		case sat.Unknown:
+			if e.cancelled() {
+				return false, errCancelled
+			}
+		}
+	}
+	return false, nil
 }
 
 // rectifyOneCompute is the uncached window pipeline for target i.
@@ -186,6 +244,11 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		e.winBank, e.winEqs, e.winPIs1, e.winPIs2 = nil, nil, nil, nil
 	}()
 
+	// The support stage starts with the sufficiency proof: the support
+	// is read off (or minimized from) its final conflict.
+	tSupport := time.Now()
+	supportDone := func() { e.stats.SupportTime += time.Since(tSupport) }
+
 	// Expression (2): UNSAT under all equalities iff the divisors can
 	// express a patch.
 	s := e.newSolver()
@@ -194,8 +257,10 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	switch s.Solve(append([]sat.Lit{ec.r1, ec.r2}, ec.auxs...)...) {
 	case sat.Sat:
 		e.bankModel(s) // the insufficiency witness is a useful pattern
+		supportDone()
 		return errInsufficient
 	case sat.Unknown:
+		supportDone()
 		return errBudget
 	}
 	r1, r2 := ec.r1, ec.r2
@@ -218,12 +283,11 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	// Capture the analyze_final core now; later Solve calls clobber it.
 	coreIdx := e.coreSupport(s, auxs)
 
-	tSupport := time.Now()
 	selected, err := e.selectSupport(s, fixed, divs, auxs, d1s, d2s, coreIdx)
 	if err == nil && e.opt.LastGasp {
 		selected, err = e.lastGasp(s, fixed, divs, auxs, selected)
 	}
-	e.stats.SupportTime += time.Since(tSupport)
+	supportDone()
 	if err != nil {
 		return err
 	}

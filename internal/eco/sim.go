@@ -30,10 +30,14 @@ const (
 	// simulation rounds fed to pruning from each source.
 	simPruneRandRounds = 4
 	simPruneBankRounds = 4
-	// simPruneSeed seeds the pruning RNG; mixed with the target index
-	// (not a call counter — window-cache hits would desync one) so
-	// every window prunes deterministically regardless of cache state.
+	// simPruneSeed seeds the pruning RNG (see simRNG).
 	simPruneSeed = 0x5eedc0de
+	// simConstSeed and the round counts drive the simulation that
+	// spares the constant-target check its SAT calls: a cofactor miter
+	// some pattern satisfies cannot be unsatisfiable.
+	simConstSeed       = 0xc0257a27
+	simConstBankRounds = 1
+	simConstRandRounds = 2
 	// simPruneProofBudget bounds each drop-confirmation SAT check (in
 	// conflicts). Window cones are small; an exceeded budget keeps the
 	// divisor, which is always safe.
@@ -152,45 +156,13 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	if e.opt.Support == SupportAnalyzeFinal {
 		return nil
 	}
-	seed := int64(simPruneSeed) ^ int64(i)<<1
-	if e.fullQuantForced {
-		seed ^= 1 // the retry pass prunes independently of the first
-	}
-	rng := rand.New(rand.NewSource(seed))
-	if e.simr == nil {
-		e.simr = aig.NewSimulator(e.w)
-	}
-	nPI := e.w.NumPIs()
-
-	var rounds [][]uint64
-	nb := e.patterns.Rounds()
-	if nb > simPruneBankRounds {
-		nb = simPruneBankRounds
-	}
-	for r := 0; r < nb; r++ {
-		ws := make([]uint64, nPI)
-		for p := 0; p < nPI; p++ {
-			ws[p] = e.patterns.Word(p, r)
-		}
-		// Top up a partly-filled word with random bits so it still
-		// discriminates beyond the pooled patterns.
-		if valid := e.patterns.Patterns() - r*64; valid < 64 {
-			for p := range ws {
-				ws[p] |= rng.Uint64() << uint(valid)
-			}
-		}
-		rounds = append(rounds, ws)
-	}
-	for r := 0; r < simPruneRandRounds; r++ {
-		rounds = append(rounds, e.w.RandomSimWords(rng))
-	}
-
+	rounds := e.simRounds(e.simRNG(simPruneSeed, i), simPruneBankRounds, simPruneRandRounds)
 	sigs := make([][]uint64, len(divs))
 	for j := range sigs {
 		sigs[j] = make([]uint64, len(rounds))
 	}
 	for r, ws := range rounds {
-		words := e.simr.Run(ws)
+		words := e.simRun(ws)
 		for j, d := range divs {
 			sigs[j][r] = aig.WordOf(words, d.edge)
 		}
@@ -261,6 +233,53 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	e.logf("target %s: sim pruning %d/%d divisors (%d constant, %d duplicate, all SAT-proven) over %d patterns",
 		e.targets[i], len(divs)-len(kept), len(divs), constant, dups, len(rounds)*64)
 	return kept
+}
+
+// simRNG returns the deterministic RNG of one window's simulation,
+// seeded from seed and the target index (not a call counter — window-
+// cache hits would desync one) so every window simulates the same
+// patterns regardless of cache state.
+func (e *engine) simRNG(seed int64, i int) *rand.Rand {
+	seed ^= int64(i) << 1
+	if e.fullQuantForced {
+		seed ^= 1 // the retry pass simulates independently of the first
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// simRounds builds 64-pattern simulation rounds over the PIs of w: up
+// to bankRounds from the pattern pool, then randRounds random ones.
+func (e *engine) simRounds(rng *rand.Rand, bankRounds, randRounds int) [][]uint64 {
+	nPI := e.w.NumPIs()
+	var rounds [][]uint64
+	nb := min(e.patterns.Rounds(), bankRounds)
+	for r := 0; r < nb; r++ {
+		ws := make([]uint64, nPI)
+		for p := 0; p < nPI; p++ {
+			ws[p] = e.patterns.Word(p, r)
+		}
+		// Top up a partly-filled word with random bits so it still
+		// discriminates beyond the pooled patterns.
+		if valid := e.patterns.Patterns() - r*64; valid < 64 {
+			for p := range ws {
+				ws[p] |= rng.Uint64() << uint(valid)
+			}
+		}
+		rounds = append(rounds, ws)
+	}
+	for r := 0; r < randRounds; r++ {
+		rounds = append(rounds, e.w.RandomSimWords(rng))
+	}
+	return rounds
+}
+
+// simRun simulates one round on the lazily built simulator of w; the
+// node words are valid until the next call.
+func (e *engine) simRun(ws []uint64) []uint64 {
+	if e.simr == nil {
+		e.simr = aig.NewSimulator(e.w)
+	}
+	return e.simr.Run(ws)
 }
 
 // rawEqual reports bitwise equality of two equal-length signatures.

@@ -265,6 +265,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_eco_sat_calls_total", "Top-level SAT queries issued by the engine, including those answered by the pattern bank.", st.SATCalls)
 	counter("ecod_eco_minimize_calls_total", "SAT calls spent inside support minimization.", int64(st.MinimizeCalls))
 	counter("ecod_eco_structural_fixes_total", "Targets patched by the structural fallback.", int64(st.StructuralFixes))
+	counter("ecod_eco_constant_targets_total", "Targets settled as constants by the one-copy check.", int64(st.ConstantTargets))
 	counter("ecod_eco_cubes_enumerated_total", "SOP cubes enumerated for patch functions.", int64(st.CubesEnumerated))
 	counter("ecod_sim_elided_total", "SAT calls answered from the banked-model pattern store.", st.SimElided)
 	counter("ecod_sim_pruned_divisors_total", "Divisors dropped by simulation-guided pruning.", st.SimPruned)

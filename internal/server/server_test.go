@@ -220,6 +220,7 @@ func TestStatsMetricsSurface(t *testing.T) {
 		"ecod_eco_sat_calls_total":        float64(stats.SATCalls),
 		"ecod_eco_minimize_calls_total":   float64(stats.MinimizeCalls),
 		"ecod_eco_structural_fixes_total": float64(stats.StructuralFixes),
+		"ecod_eco_constant_targets_total": float64(stats.ConstantTargets),
 		"ecod_eco_cubes_enumerated_total": float64(stats.CubesEnumerated),
 		"ecod_eco_cache_hits_total":       float64(stats.CacheHits),
 		"ecod_eco_cache_misses_total":     float64(stats.CacheMisses),
