@@ -1,6 +1,7 @@
 package ecopatch_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -120,5 +121,46 @@ func TestCLIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eco %v: %v\n%s", extra, err, out)
 		}
+	}
+}
+
+// TestCLITimedOut pins what eco reports when the deadline expires
+// before any target is patched: the result is called unverified
+// because of the deadline, not a failed verification of a patch that
+// does not exist, the run exits nonzero, and -json writes an empty
+// target list rather than null.
+func TestCLITimedOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildTools(t, "eco")
+	unitDir := filepath.Join("internal", "eco", "testdata", "unit14")
+	// 1ns expires during setup, so no target is patched.
+	out, err := run(t, bins["eco"], "-dir", unitDir, "-timeout", "1ns", "-o", filepath.Join(t.TempDir(), "p.v"))
+	if err == nil {
+		t.Fatalf("timed-out run exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "no patch for t_0") || !strings.Contains(out, "unverified because the deadline expired") {
+		t.Fatalf("timed-out run not reported as such:\n%s", out)
+	}
+	if strings.Contains(out, "failed verification") {
+		t.Fatalf("timed-out run reported as a failed verification:\n%s", out)
+	}
+
+	out, err = run(t, bins["eco"], "-dir", unitDir, "-timeout", "1ns", "-json", "-o", "-")
+	if err == nil {
+		t.Fatalf("timed-out -json run exited 0:\n%s", out)
+	}
+	var rep struct {
+		TimedOut bool              `json:"timed_out"`
+		Verified bool              `json:"verified"`
+		Targets  []json.RawMessage `json:"targets"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("-json output: %v\n%s", err, out)
+	}
+	if !rep.TimedOut || rep.Verified || rep.Targets == nil || len(rep.Targets) != 0 {
+		t.Fatalf("-json report: timed_out=%v verified=%v targets=%v, want true, false, []\n%s",
+			rep.TimedOut, rep.Verified, rep.Targets, out)
 	}
 }

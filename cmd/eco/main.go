@@ -90,7 +90,8 @@ func main() {
 		}
 		return
 	}
-	if !res.Feasible {
+	// A run cut short before the feasibility check has no verdict.
+	if !res.Feasible && !res.TimedOut {
 		fmt.Println("INFEASIBLE: the target set cannot rectify the implementation")
 		os.Exit(1)
 	}
@@ -114,7 +115,11 @@ func main() {
 		}
 	}
 	if !res.Verified {
-		fmt.Println("WARNING: patch failed verification")
+		if res.TimedOut {
+			fmt.Println("WARNING: result unverified because the deadline expired")
+		} else {
+			fmt.Println("WARNING: patch failed verification")
+		}
 		os.Exit(1)
 	}
 
@@ -191,6 +196,9 @@ func emitJSON(inst *ecopatch.Instance, res *ecopatch.Result, out string) {
 		ElapsedSec: res.Elapsed.Seconds(),
 		TimedOut:   res.TimedOut,
 		Targets:    res.Patches,
+	}
+	if rep.Targets == nil {
+		rep.Targets = []ecopatch.TargetPatch{} // [] rather than null
 	}
 	if res.Patch != nil {
 		var sb strings.Builder

@@ -18,7 +18,7 @@
 //	ecobench [-mode table1|copies|mincalls|patchcmp] [-scale N]
 //	         [-unit unitK] [-units unitK,unitL,...]
 //	         [-modes baseline,minassume,exact]
-//	         [-j N] [-timeout 30s] [-cache N] [-warm]
+//	         [-j N] [-timeout 30s]
 //	         [-json report.json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -52,8 +52,6 @@ func realMain() int {
 		modesStr   = flag.String("modes", strings.Join(bench.Modes, ","), "table1 algorithm columns")
 		jobs       = flag.Int("j", 1, "worker goroutines for the table1 sweep")
 		timeout    = flag.Duration("timeout", 0, "per-(unit,mode) deadline for table1 cells (0 = none)")
-		cacheEnt   = flag.Int("cache", 0, "attach a shared window store of N entries to the table1 sweep (0 = off)")
-		warm       = flag.Bool("warm", false, "run table1 twice against one cache (cold then warm) and report the speedup")
 		jsonPath   = flag.String("json", "", "also write the table1 report as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -101,7 +99,7 @@ func realMain() int {
 				run   func() error
 			}{
 				{"Table 1", func() error {
-					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *cacheEnt, *warm, *jsonPath)
+					return runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *jsonPath)
 				}},
 				{"E5: minimize_assumptions SAT calls (§3.4.1)", func() error { return bench.RunMinCalls(os.Stdout) }},
 				{"E6: miter copies for structural multi-target (§3.6.2)", func() error { return bench.RunCopies(*scale, os.Stdout) }},
@@ -114,7 +112,7 @@ func realMain() int {
 				fmt.Println()
 			}
 		case "table1":
-			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *cacheEnt, *warm, *jsonPath)
+			err = runTable1(*scale, parseUnits(*unit, *units), modes, *jobs, *timeout, *jsonPath)
 		case "copies":
 			err = bench.RunCopies(*scale, os.Stdout)
 		case "mincalls":
@@ -175,25 +173,13 @@ func parseUnits(unit, units string) []string {
 	return out
 }
 
-func runTable1(scale int, units []string, modes []string, jobs int, timeout time.Duration, cacheEnt int, warm bool, jsonPath string) error {
-	opts := bench.RunOptions{
-		Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout, CacheEntries: cacheEnt,
+func runTable1(scale int, units []string, modes []string, jobs int, timeout time.Duration, jsonPath string) error {
+	opts := bench.RunOptions{Scale: scale, Modes: modes, Jobs: jobs, Timeout: timeout, Units: units}
+	rows, err := bench.RunTable1With(opts, os.Stdout)
+	if err != nil {
+		return err
 	}
-	opts.Units = units
-	var rep bench.JSONReport
-	if warm {
-		run, err := bench.RunTable1Warm(opts, os.Stdout)
-		if err != nil {
-			return err
-		}
-		rep = bench.NewWarmJSONReport(opts, modes, run)
-	} else {
-		rows, err := bench.RunTable1With(opts, os.Stdout)
-		if err != nil {
-			return err
-		}
-		rep = bench.NewJSONReport(opts, modes, rows)
-	}
+	rep := bench.NewJSONReport(opts, modes, rows)
 	if jsonPath == "" {
 		return nil
 	}

@@ -12,18 +12,13 @@ import (
 // by `ecobench -json`. Schema identifies the layout so downstream
 // tooling can reject files it does not understand.
 type JSONReport struct {
-	Schema     string   `json:"schema"` // "ecobench/table1@v1"
-	Experiment string   `json:"experiment"`
-	Scale      int      `json:"scale"`
-	Modes      []string `json:"modes"`
-	Jobs       int      `json:"jobs"`
-	TimeoutSec float64  `json:"timeout_sec,omitempty"`
-	// CacheEntries and WarmSpeedup are additive cache-run fields:
-	// the shared-cache size of the sweep (0 = no cache) and, for
-	// warm-vs-cold runs, the geomean cold/warm wall-clock ratio.
-	CacheEntries int       `json:"cache_entries,omitempty"`
-	WarmSpeedup  float64   `json:"warm_speedup,omitempty"`
-	Rows         []JSONRow `json:"rows"`
+	Schema     string    `json:"schema"` // "ecobench/table1@v1"
+	Experiment string    `json:"experiment"`
+	Scale      int       `json:"scale"`
+	Modes      []string  `json:"modes"`
+	Jobs       int       `json:"jobs"`
+	TimeoutSec float64   `json:"timeout_sec,omitempty"`
+	Rows       []JSONRow `json:"rows"`
 }
 
 // JSONRow is one benchmark unit; Results is keyed by mode name.
@@ -61,14 +56,6 @@ type JSONCell struct {
 	Learnts      int64 `json:"learnts"`
 	LearntEvict  int64 `json:"learnt_evicted"`
 
-	// Additive cache counters (present only when the cell ran with a
-	// window store; the schema stays table1@v1). ColdSeconds is
-	// set on warm-pass cells to the matching cold cell's wall clock.
-	CacheHits       int64   `json:"cache_hits,omitempty"`
-	CacheMisses     int64   `json:"cache_misses,omitempty"`
-	CacheCollisions int64   `json:"cache_collisions,omitempty"`
-	ColdSeconds     float64 `json:"cold_seconds,omitempty"`
-
 	// Additive simulation-layer counters (absent when zero; the schema
 	// stays table1@v1).
 	SimElided   int64 `json:"sim_elided,omitempty"`
@@ -105,10 +92,6 @@ func CellFromResult(res *eco.Result) JSONCell {
 		Learnts:      st.Solver.Learnts,
 		LearntEvict:  st.Solver.Removed,
 
-		CacheHits:       st.CacheHits,
-		CacheMisses:     st.CacheMisses,
-		CacheCollisions: st.CacheCollisions,
-
 		SimElided:   st.SimElided,
 		SimPruned:   st.SimPruned,
 		SimPatterns: st.SimPatterns,
@@ -128,7 +111,6 @@ func NewJSONReport(opts RunOptions, modes []string, rows []Table1Row) JSONReport
 	if rep.Jobs < 1 {
 		rep.Jobs = 1
 	}
-	rep.CacheEntries = opts.CacheEntries
 	if opts.Timeout > 0 {
 		rep.TimeoutSec = float64(opts.Timeout) / float64(time.Second)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"ecopatch/internal/cache"
 	"ecopatch/internal/eco"
 )
 
@@ -80,7 +79,7 @@ func RunUnitTimeout(cfg Config, mode string, timeout time.Duration) (Table1Row, 
 }
 
 // RunUnitWith runs one (unit, mode) cell under the sweep options,
-// honoring Timeout and Cache.
+// honoring Timeout.
 func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	inst, err := Generate(cfg)
 	if err != nil {
@@ -100,7 +99,6 @@ func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 		return row, err
 	}
 	opt.Timeout = opts.Timeout
-	opt.Cache = opts.Cache
 	res, err := eco.Solve(inst, opt)
 	if err != nil {
 		return row, fmt.Errorf("%s/%s: %w", cfg.Name, mode, err)
@@ -116,14 +114,6 @@ type RunOptions struct {
 	Jobs    int           // worker goroutines; <=1 means sequential
 	Timeout time.Duration // per-(unit,mode) cell deadline; 0 = none
 	Units   []string      // restrict to these unit names; nil = all
-	// CacheEntries, when > 0, attaches a shared window store of that
-	// size to every cell of the sweep (ecobench -cache). Ignored when
-	// Cache is set directly.
-	CacheEntries int
-	// Cache, when non-nil, is the shared window store handed to every
-	// cell — the warm-run harness threads one store through both
-	// passes.
-	Cache *cache.Store
 }
 
 // RunTable1 reproduces Table 1: every unit in every requested mode.
@@ -143,9 +133,6 @@ func RunTable1With(opts RunOptions, w io.Writer) ([]Table1Row, error) {
 	modes := opts.Modes
 	if len(modes) == 0 {
 		modes = Modes
-	}
-	if opts.Cache == nil && opts.CacheEntries > 0 {
-		opts.Cache = cache.NewStore(opts.CacheEntries)
 	}
 	units := Suite(opts.Scale)
 	if len(opts.Units) > 0 {

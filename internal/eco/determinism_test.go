@@ -32,19 +32,36 @@ type solveCase struct {
 }
 
 // parallelCases returns the instances the determinism tests sweep:
-// single target, multi target, and the cofactor-expansion feasibility
-// path (UseQBF off routes checkFeasible through one SAT call on the
-// quantified miter).
+// single target, multi target, the cofactor-expansion feasibility path
+// (UseQBF off routes checkFeasible through one SAT call on the
+// quantified miter), and unit14. unit14 mixes 9 constant targets with
+// 3 that run the two-copy pipeline, so its runs exercise the one-copy
+// solver shared across the target sequence; under a 100-conflict
+// budget one constant check comes back Unknown and some targets fall
+// back to structural patches, so the shared solver's carried-over state
+// must repeat exactly from run to run.
 func parallelCases(t *testing.T) map[string]solveCase {
 	t.Helper()
 	base := DefaultOptions()
 	noQBF := base
 	noQBF.UseQBF = false
+	budget := base
+	budget.ConfBudget = 100
+	unit14 := loadTestdata(t, "unit14")
 	return map[string]solveCase{
-		"single":      {mustInstance(t, implAndTarget, specAndOr, nil), base},
-		"multi":       {mustInstance(t, implMultiTarget, specMultiTarget, nil), base},
-		"multi-noqbf": {mustInstance(t, implMultiTarget, specMultiTarget, nil), noQBF},
+		"single":        {mustInstance(t, implAndTarget, specAndOr, nil), base},
+		"multi":         {mustInstance(t, implMultiTarget, specMultiTarget, nil), base},
+		"multi-noqbf":   {mustInstance(t, implMultiTarget, specMultiTarget, nil), noQBF},
+		"unit14":        {unit14, base},
+		"unit14-budget": {unit14, budget},
 	}
+}
+
+// snapshotResult flattens everything a run must repeat: verdicts,
+// costs, patch structure, and the synthesized netlist text.
+func snapshotResult(res *Result) string {
+	return fmt.Sprintf("feasible=%v verified=%v cost=%d gates=%d patches=%+v netlist:\n%s",
+		res.Feasible, res.Verified, res.TotalCost, res.TotalGates, res.Patches, res.Patch)
 }
 
 // TestParallelismOneBitReproducible pins the determinism contract: the

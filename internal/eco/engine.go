@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ecopatch/internal/aig"
-	"ecopatch/internal/cache"
 	"ecopatch/internal/cnf"
 	"ecopatch/internal/netlist"
 	"ecopatch/internal/sat"
@@ -115,17 +114,6 @@ type Options struct {
 	// Deprecated: ignored; every solve is serial.
 	Parallelism int
 
-	// Cache, when non-nil, is the window store: it memoizes QBF
-	// feasibility outcomes and per-target patch functions across (and
-	// within) runs, keyed by a canonical cone encoding plus AppendKey.
-	// Every hit is collision-screened by full content comparison before
-	// it is trusted. A hit never changes a verdict, and a cached run
-	// produces bit-for-bit the same patches as an uncached one — hits
-	// only skip work, so Stats work counters (SAT calls, cubes,
-	// conflicts) reflect the work actually performed. The same store
-	// may be shared by concurrent solves. Nil disables caching.
-	Cache *cache.Store
-
 	// Timeout caps the wall-clock time of the whole solve. On expiry
 	// every active SAT solver is interrupted and the engine stops at
 	// the next stage boundary (target, support/patch phase, or the
@@ -157,13 +145,13 @@ func DefaultOptions() Options {
 }
 
 // AppendKey appends a fixed-length encoding of every option that can
-// change what a solve computes: the window cache keys windows by it
-// and ecod's request digest hashes it, so both always agree on which
-// options shape a result. Timeout, Log, Cache and the deprecated
-// Parallelism are left out — a deadline only cuts a solve short
-// (cancelled windows are never cached; the digest hashes Timeout on
-// its own), and the others never change a result. A new field that
-// can change a result belongs here.
+// change what a solve computes; ecod's request digest hashes it, so a
+// stored result is reused only under the options that produced it.
+// Timeout, Log and the deprecated Parallelism are left out: a deadline
+// only cuts a solve short (the digest hashes Timeout on its own), and
+// the others never change a result. A new field that can change a
+// result belongs here. The word layout is part of the digest, so
+// changing it changes every digest.
 func (o Options) AppendKey(buf []uint64) []uint64 {
 	flags := uint64(0)
 	for bit, on := range [...]bool{o.Window, o.LastGasp, o.CEGARMin, o.FunctionalMatch, o.UseQBF, o.ForceStructural} {
@@ -214,15 +202,6 @@ type Stats struct {
 	SimPruned   int64
 	SimPatterns int64
 
-	// Cache traffic (zero unless Options.Cache was set): queries
-	// served from the window store, queries computed fresh, and hash
-	// collisions screened out by full content comparison. An
-	// unscreened hit cannot happen, so CacheCollisions counts averted
-	// wrong answers, not served ones.
-	CacheHits       int64
-	CacheMisses     int64
-	CacheCollisions int64
-
 	// Per-stage wall clock, summed over all targets, for the
 	// machine-readable perf trajectory (ecobench -json).
 	SupportTime time.Duration // constant check, sufficiency proof, support selection incl. last-gasp
@@ -252,9 +231,6 @@ func (s *Stats) Add(o Stats) {
 	s.SimElided += o.SimElided
 	s.SimPruned += o.SimPruned
 	s.SimPatterns += o.SimPatterns
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheCollisions += o.CacheCollisions
 	s.SupportTime += o.SupportTime
 	s.PatchTime += o.PatchTime
 	s.VerifyTime += o.VerifyTime
@@ -326,11 +302,6 @@ type engine struct {
 	targetPatches []TargetPatch
 	patchAIGs     []*aig.AIG
 
-	// Pre-sort, pre-reorder install artifacts, kept so the window
-	// cache can snapshot an entry that replays installFinal exactly.
-	rawPatchAIGs []*aig.AIG
-	rawSupports  [][]string
-
 	usedSignals map[string]bool // support already paid for
 
 	moves [][]bool // QBF countermoves over the targets
@@ -338,18 +309,13 @@ type engine struct {
 	// Simulation-layer state (see sim.go): the cross-window input
 	// pattern pool, a reusable window simulator for divisor pruning,
 	// and the per-window model bank with its aux-equality map and
-	// captured per-copy PI literal vectors. winPatterns records the
-	// patterns harvested while computing one window so a window-cache
-	// hit can replay them, keeping the pool state identical to a cold
-	// run's.
-	patterns    *sim.PatternBank
-	simr        *aig.Simulator
-	winBank     *sim.ModelBank
-	winEqs      map[sat.Var][2]sat.Lit
-	winPIs1     []sat.Lit
-	winPIs2     []sat.Lit
-	inWindow    bool
-	winPatterns [][]bool
+	// captured per-copy PI literal vectors.
+	patterns *sim.PatternBank
+	simr     *aig.Simulator
+	winBank  *sim.ModelBank
+	winEqs   map[sat.Var][2]sat.Lit
+	winPIs1  []sat.Lit
+	winPIs2  []sat.Lit
 
 	// oneCopy is the single-copy encoding of w that constantTarget
 	// queries, shared by one rectifyAll's whole target sequence.

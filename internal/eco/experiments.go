@@ -85,8 +85,6 @@ func (e *engine) rectifyAllInit() {
 	k := len(e.targets)
 	e.targetPatches = make([]TargetPatch, k)
 	e.patchAIGs = make([]*aig.AIG, k)
-	e.rawPatchAIGs = make([]*aig.AIG, k)
-	e.rawSupports = make([][]string, k)
 	e.patches = make([]aig.Lit, k)
 	e.done = make([]bool, k)
 	e.usedSignals = make(map[string]bool)

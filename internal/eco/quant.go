@@ -24,40 +24,16 @@ func (e *engine) checkFeasible() (bool, error) {
 	defer e.group.release(e.group.mark())
 	k := len(e.tPIs)
 	if e.opt.UseQBF || k > e.opt.MaxQuantExpand {
-		// Window cache: the outcome — including the countermoves that
-		// drive move-guided quantification downstream — is keyed by the
-		// canonical cone of the full miter plus the target partition.
-		key := e.feasKey()
-		if key != nil {
-			if v, ok, coll := e.opt.Cache.Lookup(key); ok {
-				fe := v.(*feasEntry)
-				e.stats.CacheHits++
-				e.stats.CacheCollisions += int64(coll)
-				e.stats.QBFCopies = fe.copies
-				e.moves = fe.moves
-				if !fe.feasible {
-					e.logf("infeasible: input witness found for ∃x∀t M(t,x) (cached)")
-				}
-				return fe.feasible, nil
-			} else {
-				e.stats.CacheMisses++
-				e.stats.CacheCollisions += int64(coll)
-			}
-		}
 		r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{
 			ConfBudget: e.opt.ConfBudget,
 			OnSolver:   e.group.add,
 		})
 		if err != nil {
-			// A give-up is not a fact about the instance; never cached.
 			e.logf("feasibility qbf gave up (%v); assuming feasible", err)
 			return true, nil
 		}
 		e.stats.QBFCopies = r.Copies
 		e.moves = r.Moves
-		if key != nil && !e.cancelled() {
-			e.opt.Cache.Insert(key, &feasEntry{feasible: !r.Holds, copies: r.Copies, moves: r.Moves})
-		}
 		if r.Holds {
 			e.logf("infeasible: input witness found for ∃x∀t M(t,x)")
 		}

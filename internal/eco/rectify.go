@@ -51,45 +51,33 @@ func (e *engine) rectifyAll(forceFullQuant bool) error {
 	return nil
 }
 
-// rectifyOne computes the patch for target i, consulting the
-// window-level patch cache first: a screened hit replays the stored
-// install and skips the SAT/synthesis pipeline entirely. Entries are
-// only stored for windows computed to completion on a live run — a
-// solve whose SAT phase was interrupted mid-window must not freeze
-// its degraded fallback into the cache.
+// rectifyOne computes the patch for target i: the constant check
+// first, then the SAT pipeline, with the structural method (§3.6) as
+// the fallback when the SAT path exhausts a budget or the divisors
+// cannot express a patch.
 func (e *engine) rectifyOne(i int) error {
 	defer e.group.release(e.group.mark())
 	m0, m1 := e.cofactorMiters(i)
-	// The constant check runs before the cache lookup, so the shared
-	// solver sees the same query sequence in cached and uncached runs.
 	if done, err := e.constantTarget(i, m0, m1); done || err != nil {
 		return err
 	}
-	key := e.windowKey(i, m0, m1)
-	if key != nil {
-		if v, ok, coll := e.opt.Cache.Lookup(key); ok {
-			e.stats.CacheHits++
-			e.stats.CacheCollisions += int64(coll)
-			e.installCachedPatch(i, v.(*patchEntry))
-			return nil
-		} else {
-			e.stats.CacheMisses++
-			e.stats.CacheCollisions += int64(coll)
+	if e.opt.ForceStructural {
+		return e.structuralPatch(i, m0)
+	}
+	err := e.satPatch(i, m0, m1)
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, errBudget) || errors.Is(err, errTooManyCubes) || errors.Is(err, errInsufficient) {
+		// Stage boundary: when the SAT path died because the run was
+		// cancelled (not a mere budget expiry), the structural
+		// fallback is pure-CPU work nobody will read — skip it.
+		if e.cancelled() {
+			return errCancelled
 		}
+		e.logf("target %s: SAT path failed (%v); using structural patch", e.targets[i], err)
+		return e.structuralPatch(i, m0)
 	}
-	// Record the patterns this window's compute harvests so a future
-	// cache hit can replay them: the pool state after window i must be
-	// identical whether the window was computed or replayed, or later
-	// windows' pruning (and their keys) would diverge between runs.
-	if key != nil {
-		e.inWindow, e.winPatterns = true, nil
-	}
-	err := e.rectifyOneCompute(i, m0, m1)
-	e.inWindow = false
-	if err == nil && key != nil && !e.cancelled() {
-		e.opt.Cache.Insert(key, e.snapshotPatch(i))
-	}
-	e.winPatterns = nil
 	return err
 }
 
@@ -140,28 +128,6 @@ func (e *engine) constantTarget(i int, m0, m1 aig.Lit) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// rectifyOneCompute is the uncached window pipeline for target i.
-func (e *engine) rectifyOneCompute(i int, m0, m1 aig.Lit) error {
-	if e.opt.ForceStructural {
-		return e.structuralPatch(i, m0)
-	}
-	err := e.satPatch(i, m0, m1)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, errBudget) || errors.Is(err, errTooManyCubes) || errors.Is(err, errInsufficient) {
-		// Stage boundary: when the SAT path died because the run was
-		// cancelled (not a mere budget expiry), the structural
-		// fallback is pure-CPU work nobody will read — skip it.
-		if e.cancelled() {
-			return errCancelled
-		}
-		e.logf("target %s: SAT path failed (%v); using structural patch", e.targets[i], err)
-		return e.structuralPatch(i, m0)
-	}
-	return err
 }
 
 // errInsufficient reports that the divisor set cannot express the
@@ -359,19 +325,10 @@ func (e *engine) installPatch(i int, patch *aig.AIG, support []string, structura
 		slim.AddPO(patch.POName(0), root)
 		patch, support = slim, slimSupport
 	}
-	e.installFinal(i, patch, support, structural)
-}
-
-// installFinal is the synthesis-independent tail of installPatch,
-// shared with the window cache's hit replay so a cached install stays
-// bit-identical to a cold one: costs are accounted in the caller's
-// support order, the working-AIG edge is built from the pre-reorder
-// patch (its structure feeds the cones of later targets), and only
-// then are Support and the stored AIG's PI order sorted. The
-// pre-reorder artifacts are recorded for snapshotPatch.
-func (e *engine) installFinal(i int, patch *aig.AIG, support []string, structural bool) {
-	e.rawPatchAIGs[i] = patch
-	e.rawSupports[i] = append([]string(nil), support...)
+	// Costs are accounted in support order, and the working-AIG edge is
+	// built from the unsorted patch (its structure feeds the cones of
+	// later targets); only then are Support and the stored AIG's PI
+	// order sorted.
 	cost := 0
 	for _, sname := range support {
 		if !e.usedSignals[sname] {

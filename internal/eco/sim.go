@@ -19,9 +19,8 @@ const (
 	// simModelBankMax caps banked models per window; support selection
 	// rarely produces more than a few hundred distinct Sat answers.
 	simModelBankMax = 1024
-	// simPatternPoolMax caps the cross-window input pattern pool. The
-	// pool is append-only and capped so window-cache keys derived from
-	// it stay stable for the rest of the run.
+	// simPatternPoolMax caps the cross-window input pattern pool, which
+	// is append-only, so every simulation round stays bounded.
 	simPatternPoolMax = 256
 	// simPruneMinDivs skips pruning on tiny divisor sets where the
 	// encoding is already cheap and signatures are too short to trust.
@@ -45,18 +44,13 @@ const (
 )
 
 // addPattern pools one full working-AIG input assignment (indexed by
-// PI position). While a window is being computed its patterns are also
-// recorded on winPatterns so the window cache can replay them on a
-// hit, keeping pool state identical between cold and warm runs.
+// PI position).
 func (e *engine) addPattern(assign []bool) {
 	if e.patterns == nil {
 		return
 	}
 	if e.patterns.Add(assign) {
 		e.stats.SimPatterns++
-	}
-	if e.inWindow {
-		e.winPatterns = append(e.winPatterns, append([]bool(nil), assign...))
 	}
 }
 
@@ -139,9 +133,7 @@ func (e *engine) capturePIs(enc *cnf.Encoder) []sat.Lit {
 //
 // All of one call's proofs run on a single incremental checker, so the
 // window's cones are encoded once and learnt clauses carry over from
-// candidate to candidate. The checker lives exactly as long as the
-// call: a checker shared across windows would let a window-cache hit
-// change a later window's proof history, and so its budget outcomes.
+// candidate to candidate; the checker lives exactly as long as the call.
 func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	if len(divs) < simPruneMinDivs {
 		return nil
@@ -236,9 +228,8 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 }
 
 // simRNG returns the deterministic RNG of one window's simulation,
-// seeded from seed and the target index (not a call counter — window-
-// cache hits would desync one) so every window simulates the same
-// patterns regardless of cache state.
+// seeded from seed and the target index, so a window's patterns do not
+// depend on how many simulations ran before it.
 func (e *engine) simRNG(seed int64, i int) *rand.Rand {
 	seed ^= int64(i) << 1
 	if e.fullQuantForced {

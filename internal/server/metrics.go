@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	cachepkg "ecopatch/internal/cache"
 	"ecopatch/internal/eco"
 	"ecopatch/internal/persist"
 )
@@ -144,11 +143,9 @@ type gaugeSnapshot struct {
 	draining      bool
 	counts        map[State]int
 
-	// Result-cache and shared window-store occupancy (zero when
-	// caching is disabled).
-	cacheEnabled     bool
-	cacheEntries     int // completed results retained for dedup
-	windowCacheStats cachepkg.Stats
+	// Result-cache occupancy (zero when caching is disabled).
+	cacheEnabled bool
+	cacheEntries int // completed results retained for dedup
 
 	// Persistence-log counters (persistEnabled false without -data-dir)
 	// and process uptime.
@@ -249,9 +246,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 
 	if g.cacheEnabled {
 		gauge("ecod_cache_entries", "Completed results retained by the dedup cache.", int64(g.cacheEntries))
-		wc := g.windowCacheStats
-		gauge("ecod_window_cache_entries", "Entries in the shared window/patch cache.", int64(wc.Entries))
-		counter("ecod_window_cache_evictions_total", "Entries evicted from the shared window/patch cache.", wc.Evictions)
 	}
 
 	writeHistogram(w, "ecod_queue_wait_seconds", "Time jobs spent queued before a worker picked them up.", m.queueWait)
@@ -273,9 +267,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	fcounter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
-	counter("ecod_eco_cache_hits_total", "Window-store hits (feasibility outcomes and patches) across finished jobs.", st.CacheHits)
-	counter("ecod_eco_cache_misses_total", "Window-store misses across finished jobs.", st.CacheMisses)
-	counter("ecod_eco_cache_collisions_total", "Hash matches rejected by the full-content screen across finished jobs.", st.CacheCollisions)
 	fcounter("ecod_eco_support_seconds_total", "Support-selection wall clock.", st.SupportTime.Seconds())
 	fcounter("ecod_eco_patch_seconds_total", "Patch-computation wall clock.", st.PatchTime.Seconds())
 	fcounter("ecod_eco_verify_seconds_total", "Verification wall clock.", st.VerifyTime.Seconds())

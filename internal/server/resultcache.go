@@ -12,10 +12,9 @@ import (
 
 // requestDigest hashes the solve-relevant content of one submission:
 // the raw netlist and weight sources, the engine options through
-// eco.Options.AppendKey (the encoding the window cache keys by), and
-// the resolved Timeout, which AppendKey leaves out but which decides
-// whether a job completes. The job name is excluded (labels do not
-// change results). Two submissions with equal digests would run the
+// eco.Options.AppendKey, and the resolved Timeout, which AppendKey
+// leaves out but which decides whether a job completes. The job name
+// is excluded (labels do not change results). Two submissions with equal digests would run the
 // identical solve, so the daemon serves the second from the first's
 // result instead.
 func requestDigest(req *JobRequest, opt eco.Options) string {

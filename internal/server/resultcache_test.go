@@ -10,16 +10,15 @@ import (
 )
 
 // TestOptionsFingerprint flips every exported eco.Options field in
-// turn and checks that the window key's options words
-// (eco.Options.AppendKey) and the request digest both see the change.
-// Only the fields that cannot change a result are left out of both;
-// Timeout is left out of the window key alone (cancelled windows are
-// never cached) but must change the digest, since it decides whether a
-// job completes. A new Options field fails here until it is added to
+// turn and checks that the options words (eco.Options.AppendKey) and
+// the request digest both see the change. Only the fields that cannot
+// change a result are left out of both; Timeout is left out of
+// AppendKey but must change the digest, since it decides whether a job
+// completes. A new Options field fails here until it is added to
 // AppendKey or to the exclusions below.
 func TestOptionsFingerprint(t *testing.T) {
-	notInKey := map[string]bool{"Timeout": true, "Log": true, "Cache": true, "Parallelism": true}
-	notInDigest := map[string]bool{"Log": true, "Cache": true, "Parallelism": true}
+	notInKey := map[string]bool{"Timeout": true, "Log": true, "Parallelism": true}
+	notInDigest := map[string]bool{"Log": true, "Parallelism": true}
 
 	req := testRequest()
 	base := eco.DefaultOptions()
@@ -52,7 +51,7 @@ func TestOptionsFingerprint(t *testing.T) {
 			t.Errorf("field %s: AppendKey length %d, want fixed %d", f.Name, len(key), len(baseKey))
 		}
 		if keyChanged := !slices.Equal(key, baseKey); keyChanged == notInKey[f.Name] {
-			t.Errorf("field %s: window key changed = %v, want %v", f.Name, keyChanged, !notInKey[f.Name])
+			t.Errorf("field %s: AppendKey changed = %v, want %v", f.Name, keyChanged, !notInKey[f.Name])
 		}
 		if digestChanged := requestDigest(&req, opt) != baseDigest; digestChanged == notInDigest[f.Name] {
 			t.Errorf("field %s: request digest changed = %v, want %v", f.Name, digestChanged, !notInDigest[f.Name])
@@ -63,6 +62,38 @@ func TestOptionsFingerprint(t *testing.T) {
 	named.Name = "another label"
 	if requestDigest(&named, base) != baseDigest {
 		t.Error("job name changed the request digest")
+	}
+}
+
+// TestRequestDigestGolden pins ecod-digest@v6 to fixed values, so a
+// change to eco.Options or to the AppendKey word layout that would
+// shift every digest shows up here: results a data directory persisted
+// under one build must still dedup identical submissions under the
+// next.
+func TestRequestDigestGolden(t *testing.T) {
+	off := false
+	req := JobRequest{
+		Name:    "golden",
+		Impl:    "module top(a, b, y); input a, b; output y; and g(y, a, t_0); endmodule\n",
+		Spec:    "module top(a, b, y); input a, b; output y; and g(y, a, b); endmodule\n",
+		Weights: "a 3\nb 5\n",
+	}
+	for _, tc := range []struct {
+		name string
+		opts JobOptions
+		want string
+	}{
+		{"defaults", JobOptions{}, "d1e0afd456893936b5f71462bcb91cf6eb8b8db4e83d0922ff9e940e5783c4ae"},
+		{"tuned", JobOptions{Support: "exact", Patch: "interp", LastGasp: &off, ConfBudget: 100, TimeoutSec: 2.5},
+			"2e6547652d5f7fb37e4cedd7bc19b7ba3a0248b4c6305300a4fb920de7292c24"},
+	} {
+		opt, err := tc.opts.Eco()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := requestDigest(&req, opt); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

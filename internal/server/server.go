@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ecopatch/internal/atomicio"
-	"ecopatch/internal/cache"
 	"ecopatch/internal/eco"
 )
 
@@ -51,14 +50,11 @@ type Config struct {
 	// warmed result cache, and jobs that were queued or running at the
 	// crash come back as failed with Recovered set.
 	DataDir string
-	// CacheEntries, when > 0, enables the daemon's two caches: the
-	// content-addressed result cache (completed results served
-	// instantly to identical submissions, in-flight duplicates
-	// attached to the job already solving them) and the engine's
-	// window store (QBF feasibility outcomes and per-target patches)
-	// shared by every job. Each holds at most this many entries; the
-	// window store also bounds its retained key words to 2048 times
-	// this. Zero disables caching entirely.
+	// CacheEntries, when > 0, enables the content-addressed result
+	// cache: completed results are served instantly to identical
+	// submissions, and in-flight duplicates attach to the job already
+	// solving them. It holds at most this many entries. Zero disables
+	// it.
 	CacheEntries int
 	// Log receives operational lines; nil discards them.
 	Log *log.Logger
@@ -87,11 +83,9 @@ type Server struct {
 	store   *Store
 	metrics *Metrics
 
-	// rcache dedupes whole jobs by input digest; ecoCache is the
-	// shared window store threaded into every job's options.
-	// Both are nil when Config.CacheEntries is zero.
-	rcache   *resultCache
-	ecoCache *cache.Store
+	// rcache dedupes whole jobs by input digest; nil when
+	// Config.CacheEntries is zero.
+	rcache *resultCache
 
 	// persist is the on-disk durability layer (nil without DataDir);
 	// start stamps boot time for the uptime gauge.
@@ -127,7 +121,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheEntries > 0 {
 		s.rcache = newResultCache(cfg.CacheEntries)
-		s.ecoCache = cache.NewStore(cfg.CacheEntries)
 	}
 	s.store.onFinish = s.jobFinished
 	if cfg.DataDir != "" {
@@ -174,9 +167,6 @@ func (s *Server) worker() {
 
 // runJob executes one job end to end and records its terminal state.
 func (s *Server) runJob(j *Job) {
-	if s.ecoCache != nil {
-		j.opt.Cache = s.ecoCache
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if !s.store.Start(j, cancel) {
@@ -529,7 +519,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.rcache != nil {
 		g.cacheEnabled = true
 		g.cacheEntries = s.rcache.entries()
-		g.windowCacheStats = s.ecoCache.Stats()
 	}
 	g.uptimeSec = time.Since(s.start).Seconds()
 	if s.persist != nil {

@@ -222,9 +222,6 @@ func TestStatsMetricsSurface(t *testing.T) {
 		"ecod_eco_structural_fixes_total": float64(stats.StructuralFixes),
 		"ecod_eco_constant_targets_total": float64(stats.ConstantTargets),
 		"ecod_eco_cubes_enumerated_total": float64(stats.CubesEnumerated),
-		"ecod_eco_cache_hits_total":       float64(stats.CacheHits),
-		"ecod_eco_cache_misses_total":     float64(stats.CacheMisses),
-		"ecod_eco_cache_collisions_total": float64(stats.CacheCollisions),
 		"ecod_eco_support_seconds_total":  stats.SupportTime.Seconds(),
 		"ecod_eco_patch_seconds_total":    stats.PatchTime.Seconds(),
 		"ecod_eco_verify_seconds_total":   stats.VerifyTime.Seconds(),

@@ -122,8 +122,7 @@ func (b *ModelBank) Bit(l sat.Lit, p int) bool {
 // PatternBank pools input patterns (PI assignments, indexed by PI
 // position) across rectification windows, 64-packed per input for
 // direct use as simulation words. The pool is append-only and capped:
-// once full, further patterns are dropped, so cache keys derived from
-// its contents stay stable for the rest of the run.
+// once full, further patterns are dropped.
 type PatternBank struct {
 	rows [][]uint64 // one row per input
 	n    int
@@ -169,17 +168,3 @@ func (b *PatternBank) Add(assign []bool) bool {
 // Word returns the 64-pattern word of one input covering patterns
 // [64*round, 64*round+64); bits at or beyond Patterns() are zero.
 func (b *PatternBank) Word(input, round int) uint64 { return b.rows[input][round] }
-
-// AppendKey appends the pool's full contents to a cache-key buffer:
-// the pattern count followed by every populated word of every input
-// row. Pools with identical contents produce identical keys, so work
-// whose outcome depends on the pooled patterns (divisor pruning) can
-// fold the pool state into its memoization key.
-func (b *PatternBank) AppendKey(buf []uint64) []uint64 {
-	buf = append(buf, uint64(b.n))
-	nw := b.Rounds()
-	for _, row := range b.rows {
-		buf = append(buf, row[:nw]...)
-	}
-	return buf
-}

@@ -177,36 +177,6 @@ func TestPatternBank(t *testing.T) {
 	if b.Word(2, 1) != 0x3f {
 		t.Fatalf("Word(2,1) = %#x", b.Word(2, 1))
 	}
-
-	key := b.AppendKey(nil)
-	if len(key) != 1+3*2 {
-		t.Fatalf("AppendKey length %d, want 7", len(key))
-	}
-	same := NewPatternBank(3, 70)
-	for i := 0; i < 70; i++ {
-		same.Add([]bool{i%2 == 0, i >= 64, true})
-	}
-	other := NewPatternBank(3, 70)
-	for i := 0; i < 70; i++ {
-		other.Add([]bool{i%2 == 1, i >= 64, true})
-	}
-	eq := func(a, b []uint64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(key, same.AppendKey(nil)) {
-		t.Fatal("identical pools keyed differently")
-	}
-	if eq(key, other.AppendKey(nil)) {
-		t.Fatal("different pools keyed equal")
-	}
 }
 
 func TestCanonKeyEqual(t *testing.T) {

@@ -16,9 +16,9 @@ go test ./...
 # One race pass over every package. Every solve is serial, so the
 # concurrency left to check is the engine's deadline watcher
 # interrupting its solvers, the daemon's worker pool and dedup paths,
-# the caches shared by concurrent solves, ecobench's parallel cells,
-# and persistence. -count=1 defeats test
-# caching so the concurrent machinery is always exercised fresh.
+# its result cache, ecobench's parallel cells, and persistence.
+# -count=1 defeats test caching so the concurrent machinery is always
+# exercised fresh.
 # -short skips the slow single-threaded sweeps (the bench-suite scale
 # and parity sweeps, the CLI end-to-end run) that the full suite above
 # runs.
