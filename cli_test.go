@@ -128,7 +128,8 @@ func TestCLIEndToEnd(t *testing.T) {
 // before any target is patched: the result is called unverified
 // because of the deadline, not a failed verification of a patch that
 // does not exist, the run exits nonzero, and -json writes an empty
-// target list rather than null.
+// target list rather than null and no feasibility verdict, since the
+// check never answered.
 func TestCLITimedOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -154,6 +155,7 @@ func TestCLITimedOut(t *testing.T) {
 	var rep struct {
 		TimedOut bool              `json:"timed_out"`
 		Verified bool              `json:"verified"`
+		Feasible *bool             `json:"feasible"`
 		Targets  []json.RawMessage `json:"targets"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
@@ -162,5 +164,8 @@ func TestCLITimedOut(t *testing.T) {
 	if !rep.TimedOut || rep.Verified || rep.Targets == nil || len(rep.Targets) != 0 {
 		t.Fatalf("-json report: timed_out=%v verified=%v targets=%v, want true, false, []\n%s",
 			rep.TimedOut, rep.Verified, rep.Targets, out)
+	}
+	if rep.Feasible != nil {
+		t.Fatalf("-json report of a run cut short before the verdict writes feasible=%v\n%s", *rep.Feasible, out)
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"ecopatch"
 	"ecopatch/internal/aig"
+	"ecopatch/internal/bench"
 	"ecopatch/internal/blif"
 	"ecopatch/internal/eco"
 	"ecopatch/internal/netlist"
@@ -28,7 +29,7 @@ import (
 // jsonReport is the machine-readable result of a run (-json flag).
 type jsonReport struct {
 	Instance   string                 `json:"instance"`
-	Feasible   bool                   `json:"feasible"`
+	Feasible   *bool                  `json:"feasible,omitempty"` // nil: cut short before the verdict
 	Verified   bool                   `json:"verified"`
 	TotalCost  int                    `json:"total_cost"`
 	TotalGates int                    `json:"total_gates"`
@@ -189,7 +190,7 @@ func fatal(err error) {
 func emitJSON(inst *ecopatch.Instance, res *ecopatch.Result, out string) {
 	rep := jsonReport{
 		Instance:   inst.Name,
-		Feasible:   res.Feasible,
+		Feasible:   bench.Verdict(res),
 		Verified:   res.Verified,
 		TotalCost:  res.TotalCost,
 		TotalGates: res.TotalGates,

@@ -44,7 +44,7 @@ type JSONCell struct {
 	PatchSec   float64 `json:"patch_sec"`
 	VerifySec  float64 `json:"verify_sec"`
 	Verified   bool    `json:"verified"`
-	Feasible   bool    `json:"feasible"`
+	Feasible   *bool   `json:"feasible,omitempty"` // nil: cut short before the verdict
 	Structural int     `json:"structural"`
 	TimedOut   bool    `json:"timed_out,omitempty"`
 
@@ -80,7 +80,7 @@ func CellFromResult(res *eco.Result) JSONCell {
 		PatchSec:   st.PatchTime.Seconds(),
 		VerifySec:  st.VerifyTime.Seconds(),
 		Verified:   res.Verified,
-		Feasible:   res.Feasible,
+		Feasible:   Verdict(res),
 		Structural: st.StructuralFixes,
 		TimedOut:   res.TimedOut,
 
@@ -96,6 +96,15 @@ func CellFromResult(res *eco.Result) JSONCell {
 		SimPruned:   st.SimPruned,
 		SimPatterns: st.SimPatterns,
 	}
+}
+
+// Verdict is res.Feasible for the JSON reports: nil, no verdict, for a
+// run cut short before the feasibility check answered.
+func Verdict(res *eco.Result) *bool {
+	if res.TimedOut && !res.Feasible {
+		return nil
+	}
+	return &res.Feasible
 }
 
 // NewJSONReport converts a finished sweep into the report form.

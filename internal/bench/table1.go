@@ -56,10 +56,6 @@ func Table1Options(mode string, structural bool) (eco.Options, error) {
 		opt.Support = eco.SupportMinimize
 	case ModeExact:
 		opt.Support = eco.SupportExact
-		// Keep the per-target exact search bounded so the whole
-		// 20-unit sweep stays laptop-scale; the degrade path mirrors
-		// the paper's scalability-for-quality trade (§4.2).
-		opt.ExactTimeout = 10 * time.Second
 	default:
 		return opt, fmt.Errorf("bench: unknown mode %q", mode)
 	}
@@ -68,18 +64,12 @@ func Table1Options(mode string, structural bool) (eco.Options, error) {
 
 // RunUnit generates a unit and solves it in one mode.
 func RunUnit(cfg Config, mode string) (Table1Row, error) {
-	return RunUnitTimeout(cfg, mode, 0)
-}
-
-// RunUnitTimeout is RunUnit with a per-cell wall-clock deadline; zero
-// means no deadline. A fired deadline is not an error: the engine's
-// degraded partial result is recorded with TimedOut set.
-func RunUnitTimeout(cfg Config, mode string, timeout time.Duration) (Table1Row, error) {
-	return RunUnitWith(cfg, mode, RunOptions{Timeout: timeout})
+	return RunUnitWith(cfg, mode, RunOptions{})
 }
 
 // RunUnitWith runs one (unit, mode) cell under the sweep options,
-// honoring Timeout.
+// honoring Timeout. A fired deadline is not an error: the engine's
+// partial result is recorded with TimedOut set.
 func RunUnitWith(cfg Config, mode string, opts RunOptions) (Table1Row, error) {
 	inst, err := Generate(cfg)
 	if err != nil {

@@ -52,8 +52,8 @@ func TestRunUnitAllModesOnSmallUnit(t *testing.T) {
 			row.Results[mode] = r.Results[mode]
 		}
 		a := r.Results[mode]
-		if !a.Feasible || !a.Verified {
-			t.Fatalf("%s/%s: feasible=%v verified=%v", cfg.Name, mode, a.Feasible, a.Verified)
+		if a.Feasible == nil || !*a.Feasible || !a.Verified {
+			t.Fatalf("%s/%s: feasible=%v verified=%v", cfg.Name, mode, a.Feasible != nil && *a.Feasible, a.Verified)
 		}
 		elided += a.SimElided
 	}

@@ -56,8 +56,8 @@ func (g *solverGroup) release(m int) {
 }
 
 // stats sums the kernel counters of every solver created during the
-// run, released ones included. Call only after solving is done
-// (solvers mutate their own Stats while searching).
+// run, released ones included. Call only between solves (solvers
+// mutate their own Stats while searching).
 func (g *solverGroup) stats() sat.Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -67,6 +67,23 @@ func (g *solverGroup) stats() sat.Stats {
 	}
 	return total
 }
+
+// The work meter bounds each target's support and patch stage where
+// they can run away, in SAT_prune and cube enumeration: past
+// stageAllot ticks SAT_prune degrades to minimize_assumptions and cube
+// enumeration hands the target to the structural patch. A tick is one
+// propagation of the run's solvers (a delta of the group's stats); a
+// hitting-set node, about as slow as eight propagations, costs
+// hittingNodeTicks. Unlike a wall clock, the meter stops a stage at
+// the same point under any load. workAllot is about twice the largest
+// stage charge of any Table-1 cell (EXPERIMENTS E26).
+const (
+	workAllot        = 130_000_000
+	hittingNodeTicks = 8
+)
+
+// stageAllot is workAllot; only tests lower it, to reach the fallbacks.
+var stageAllot int64 = workAllot
 
 // interruptAll interrupts every registered solver and marks the group
 // stopped so later registrations abort immediately.

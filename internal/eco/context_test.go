@@ -96,7 +96,7 @@ and  (w3, w1, w2);
 xor  (f, w3, c);
 endmodule`, nil)
 	opt := DefaultOptions()
-	opt.MaxQuantExpand, opt.MaxCubes = 8, 20000
+	opt.MaxQuantExpand = 8
 	e := &engine{inst: inst, opt: opt, ctx: context.Background(), res: &Result{}}
 	if err := e.setup(); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,9 @@ import (
 //	  - block the cube in the onset copy and continue.
 //
 // The equality selectors are left unassumed here, so the two copies
-// are independent and the cube check works point-wise.
+// are independent and the cube check works point-wise. Past the work
+// meter's allotment it returns errBudget: the target gets the
+// structural patch.
 func (e *engine) enumerateCubes(s *sat.Solver, r1, r2 sat.Lit,
 	divs []divisor, selected []int, d1s, d2s []sat.Lit) (*synth.SOP, error) {
 
@@ -26,9 +28,10 @@ func (e *engine) enumerateCubes(s *sat.Solver, r1, r2 sat.Lit,
 	for pos, j := range selected {
 		posOfVar[d2s[j].Var()] = pos
 	}
+	start := e.group.stats().Propagations // the work meter, see stageAllot
 	for {
-		if len(sop.Cubes) > e.opt.MaxCubes {
-			return nil, errTooManyCubes
+		if e.group.stats().Propagations-start >= stageAllot {
+			return nil, errBudget
 		}
 		e.stats.SATCalls++
 		switch s.Solve(r1) {

@@ -2,7 +2,9 @@ package eco
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -112,5 +114,66 @@ func TestInterpolationVerifies(t *testing.T) {
 	ok, err := VerifyPatch(tc.inst, res.Patch)
 	if err != nil || !ok {
 		t.Fatalf("interpolation patch failed VerifyPatch: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestWorkMeterDeterministic lowers the work allotment until unit9's
+// exact solve meets it in both metered stages: SAT_prune degrades to
+// minimize_assumptions, and cube enumeration hands a target to the
+// structural fallback. The result must still verify. The meter counts
+// work, not time, so a run beside a concurrent CPU-bound solve must
+// return the same patches as a run alone.
+func TestWorkMeterDeterministic(t *testing.T) {
+	defer func(allot int64) { stageAllot = allot }(stageAllot)
+	stageAllot = 20000
+	opt := DefaultOptions()
+	opt.Support = SupportExact
+	solve := func(inst *Instance) ([]TargetPatch, string) {
+		var log strings.Builder
+		o := opt
+		o.Log = &log
+		res, err := Solve(inst, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified {
+			t.Fatal("not verified")
+		}
+		return res.Patches, log.String()
+	}
+	alone, log := solve(loadTestdata(t, "unit9"))
+	for _, line := range []string{
+		"SAT_prune over budget; degrading to minimize_assumptions",
+		"SAT path failed (eco: SAT budget exhausted); using structural patch",
+	} {
+		if !strings.Contains(log, line) {
+			t.Fatalf("log lacks %q:\n%s", line, log)
+		}
+	}
+
+	stop := make(chan struct{})
+	busyDone := make(chan struct{})
+	other := loadTestdata(t, "unit9")
+	go func() {
+		defer close(busyDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := Solve(other, opt); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-busyDone
+	}()
+	busy, _ := solve(loadTestdata(t, "unit9"))
+	if !reflect.DeepEqual(busy, alone) {
+		t.Fatalf("patches beside a concurrent solve differ:\nalone %+v\nbusy  %+v", alone, busy)
 	}
 }

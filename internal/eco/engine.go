@@ -101,14 +101,6 @@ type Options struct {
 	// by full 2^r cofactor expansion; beyond it the engine uses the
 	// QBF countermoves (move-guided quantification). Default 8.
 	MaxQuantExpand int
-	// MaxCubes caps cube enumeration per target before falling back
-	// to the structural method. Default 20000.
-	MaxCubes int
-	// ExactTimeout caps the wall-clock time of the SAT_prune
-	// hitting-set search per target; on expiry the engine degrades to
-	// minimize_assumptions (mirroring the paper's observation that
-	// SAT_prune trades scalability for quality). Default 30s.
-	ExactTimeout time.Duration
 	// Parallelism is kept only so existing callers still compile.
 	//
 	// Deprecated: ignored; every solve is serial.
@@ -139,8 +131,6 @@ func DefaultOptions() Options {
 		FunctionalMatch: true,
 		UseQBF:          true,
 		MaxQuantExpand:  8,
-		MaxCubes:        20000,
-		ExactTimeout:    30 * time.Second,
 	}
 }
 
@@ -151,7 +141,8 @@ func DefaultOptions() Options {
 // only cuts a solve short (the digest hashes Timeout on its own), and
 // the others never change a result. A new field that can change a
 // result belongs here. The word layout is part of the digest, so
-// changing it changes every digest.
+// changing it changes every digest: the retired MaxCubes and
+// ExactTimeout options keep their words, fixed at the old defaults.
 func (o Options) AppendKey(buf []uint64) []uint64 {
 	flags := uint64(0)
 	for bit, on := range [...]bool{o.Window, o.LastGasp, o.CEGARMin, o.FunctionalMatch, o.UseQBF, o.ForceStructural} {
@@ -161,8 +152,8 @@ func (o Options) AppendKey(buf []uint64) []uint64 {
 	}
 	return append(buf,
 		uint64(o.Support), uint64(o.Patch), flags,
-		uint64(o.ConfBudget), uint64(o.MaxCubes), uint64(o.MaxQuantExpand),
-		uint64(o.ExactTimeout))
+		uint64(o.ConfBudget), 20000, uint64(o.MaxQuantExpand),
+		uint64(30*time.Second))
 }
 
 // TargetPatch describes the patch computed for one target. Its JSON
@@ -364,9 +355,6 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	}
 	if opt.MaxQuantExpand <= 0 {
 		opt.MaxQuantExpand = 8
-	}
-	if opt.MaxCubes <= 0 {
-		opt.MaxCubes = 20000
 	}
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc

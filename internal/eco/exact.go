@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"time"
 
 	"ecopatch/internal/sat"
 )
@@ -33,21 +32,22 @@ func (e *engine) exactSupport(s *sat.Solver, fixed []sat.Lit, divs []divisor,
 	for j := range divs {
 		costs[j] = int64(divs[j].cost)
 	}
-	timeout := e.opt.ExactTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	start := e.group.stats().Propagations // the work meter, see stageAllot
+	var nodeTicks int64
 	var cores [][]int
 	hs := hittingSets{costs: costs}
-	const maxIters = 4000
-	for iter := 0; iter < maxIters; iter++ {
-		if time.Now().After(deadline) {
+	for {
+		// Every core is non-empty (an empty one is an error below), so
+		// a hitting set exists. Past the node limit the search returns
+		// the greedy seed, which is not provably cheapest: the stage
+		// is over budget.
+		left := stageAllot - nodeTicks - (e.group.stats().Propagations - start)
+		maxNodes := left / hittingNodeTicks
+		sel, nodes, _ := hs.next(cores, maxNodes)
+		if left <= 0 || nodes > maxNodes {
 			return nil, errBudget
 		}
-		// Every core is non-empty (an empty one is an error below), so
-		// a hitting set exists.
-		sel, _ := hs.next(cores, deadline)
+		nodeTicks += nodes * hittingNodeTicks
 		assumps := append([]sat.Lit(nil), fixed...)
 		for _, j := range sel {
 			assumps = append(assumps, auxs[j])
@@ -102,7 +102,6 @@ func (e *engine) exactSupport(s *sat.Solver, fixed []sat.Lit, divs []divisor,
 		}
 		cores = append(cores, core)
 	}
-	return nil, errBudget
 }
 
 // hittingSets proposes minimum-cost hitting sets for a core list that
@@ -139,43 +138,42 @@ type hittingSets struct {
 type hittingStep struct{ core, elem int }
 
 // next returns a minimum-cost hitting set of cores, which must extend
-// the list of the previous call. With no cores it is empty; ok is
-// false when some core is empty, so that no set hits them all. When the
-// deadline expires mid-search the greedy seed is returned, and
-// exactSupport's own deadline check converts the lost optimality
-// guarantee into the documented degrade path.
-func (hs *hittingSets) next(cores [][]int, deadline time.Time) ([]int, bool) {
+// the list of the previous call, and the search nodes it visited. With
+// no cores the set is empty; ok is false when some core is empty, so
+// that no set hits them all. A search past maxNodes nodes stops and
+// returns the greedy seed, for which exactSupport degrades.
+func (hs *hittingSets) next(cores [][]int, maxNodes int64) (set []int, nodes int64, ok bool) {
 	if len(cores) == 0 {
-		return nil, true
+		return nil, 0, true
 	}
 	greedy, ok := greedyHittingSet(cores, hs.costs)
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	var gc int64
 	for _, j := range greedy {
 		gc += hs.costs[j]
 	}
 	sort.Ints(greedy)
-	h := newHittingSearch(cores, hs.costs, deadline)
+	h := newHittingSearch(cores, hs.costs, maxNodes)
 	_, limit, _ := h.uncovered(gc)
 	if limit <= hs.floor {
 		limit = hs.floor
 		h.resume = hs.path
 	}
-	for ; limit < gc && !h.expired; limit++ {
+	for ; limit < gc && !h.expired(); limit++ {
 		h.limit = limit
 		if h.rec(0, h.resume != nil) {
 			hs.floor, hs.path = limit, h.foundPath
-			return h.found, true
+			return h.found, h.nodes, true
 		}
 		h.resume = nil
 	}
-	if !h.expired {
+	if !h.expired() {
 		hs.floor = gc
 	}
 	hs.path = nil
-	return greedy, true
+	return greedy, h.nodes, true
 }
 
 // hittingSearch is the state of one hittingSets.next call. Element
@@ -199,13 +197,14 @@ type hittingSearch struct {
 	path      []hittingStep // the branches from the root to the current node
 	found     []int         // the leaf found, and the path to it
 	foundPath []hittingStep
-	nodes     int
-	expired   bool
-
-	deadline time.Time
+	nodes     int64
+	maxNodes  int64
 }
 
-func newHittingSearch(cores [][]int, costs []int64, deadline time.Time) *hittingSearch {
+// expired reports whether the search has outrun its node limit.
+func (h *hittingSearch) expired() bool { return h.nodes > h.maxNodes }
+
+func newHittingSearch(cores [][]int, costs []int64, maxNodes int64) *hittingSearch {
 	words := (len(costs) + 63) / 64
 	h := &hittingSearch{
 		costs:    costs,
@@ -218,7 +217,7 @@ func newHittingSearch(cores [][]int, costs []int64, deadline time.Time) *hitting
 		chosen:   make([]uint64, words),
 		excluded: make([]uint64, words),
 		resid:    make([]int64, len(costs)),
-		deadline: deadline,
+		maxNodes: maxNodes,
 	}
 	for i, c := range cores {
 		row := h.row(i)
@@ -296,12 +295,7 @@ func (h *hittingSearch) uncovered(budget int64) (pick int, lb int64, dead bool) 
 // one. resuming is set while the node lies on the previous search's
 // path.
 func (h *hittingSearch) rec(costSoFar int64, resuming bool) bool {
-	h.nodes++
-	if h.expired || costSoFar > h.limit {
-		return false
-	}
-	if h.nodes&1023 == 0 && time.Now().After(h.deadline) {
-		h.expired = true
+	if h.nodes++; h.expired() || costSoFar > h.limit {
 		return false
 	}
 	pick, lb, dead := h.uncovered(h.limit - costSoFar)
@@ -363,7 +357,7 @@ func (h *hittingSearch) rec(costSoFar int64, resuming bool) bool {
 		for _, i := range h.coresOf[j] {
 			h.hits[i]--
 		}
-		if found || h.expired {
+		if found || h.expired() {
 			break
 		}
 		h.exclude(j)

@@ -1,9 +1,6 @@
 package eco
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // This file keeps the map-based hitting-set search that the bitset
 // search in exact.go replaced, as the reference the differential
@@ -12,18 +9,17 @@ import (
 
 // minHittingSetRef computes a minimum-cost hitting set of the cores by
 // branch and bound with a disjoint-core lower bound. With no cores
-// the empty set is returned. When the deadline expires mid-search the
-// best set found so far (completed greedily if necessary) is returned;
-// the outer loop's own deadline check then converts the lost
-// optimality guarantee into the documented degrade path.
-func minHittingSetRef(cores [][]int, costs []int64, deadline time.Time) []int {
+// the empty set is returned. A search that outruns maxNodes nodes
+// stops and returns the best set found so far, the greedy seed if
+// nothing cheaper.
+func minHittingSetRef(cores [][]int, costs []int64, maxNodes int64) []int {
 	if len(cores) == 0 {
 		return nil
 	}
 	var best []int
 	bestCost := int64(1) << 62
 	chosen := make(map[int]bool)
-	nodes := 0
+	var nodes int64
 	expired := false
 
 	snapshot := func(costSoFar int64) {
@@ -82,7 +78,7 @@ func minHittingSetRef(cores [][]int, costs []int64, deadline time.Time) []int {
 		if expired || costSoFar >= bestCost {
 			return
 		}
-		if nodes&1023 == 0 && time.Now().After(deadline) {
+		if nodes > maxNodes {
 			expired = true
 			return
 		}

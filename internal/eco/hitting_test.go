@@ -2,6 +2,7 @@ package eco
 
 import (
 	"bufio"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -11,11 +12,15 @@ import (
 	"time"
 )
 
+// noNodeLimit is a node limit no test search reaches.
+const noNodeLimit = math.MaxInt64
+
 // minHittingSet searches cores afresh, with floor as the only fact
 // carried over from earlier iterations.
-func minHittingSet(cores [][]int, costs []int64, floor int64, deadline time.Time) ([]int, bool) {
+func minHittingSet(cores [][]int, costs []int64, floor int64, maxNodes int64) ([]int, bool) {
 	hs := hittingSets{costs: costs, floor: floor}
-	return hs.next(cores, deadline)
+	set, _, ok := hs.next(cores, maxNodes)
+	return set, ok
 }
 
 // hittingCost sums the costs of a hitting set.
@@ -37,12 +42,12 @@ func checkGrowingCores(t *testing.T, cores [][]int, costs []int64) {
 	hs := hittingSets{costs: costs}
 	var floor int64
 	for k := 0; k <= len(cores); k++ {
-		want := minHittingSetRef(cores[:k], costs, farFuture())
-		resumed, ok := hs.next(cores[:k], farFuture())
+		want := minHittingSetRef(cores[:k], costs, noNodeLimit)
+		resumed, _, ok := hs.next(cores[:k], noNodeLimit)
 		if !ok {
 			t.Fatalf("prefix %d: no hitting set reported for non-empty cores", k)
 		}
-		fresh, _ := minHittingSet(cores[:k], costs, floor, farFuture())
+		fresh, _ := minHittingSet(cores[:k], costs, floor, noNodeLimit)
 		for _, got := range [][]int{resumed, fresh} {
 			if !slices.Equal(got, want) {
 				t.Fatalf("prefix %d: got %v (cost %d), reference %v (cost %d)\ncores %v\ncosts %v",
@@ -135,6 +140,42 @@ func TestMinHittingSetUnit18(t *testing.T) {
 	checkGrowingCores(t, cores, costs)
 }
 
+// TestMinHittingSetNodeLimit pins what an exhausted node limit does:
+// the search stops, reports more nodes than the limit, and returns the
+// greedy seed. The last optimum stays the floor and the path is
+// dropped, so the next search, with nodes to spare, still returns the
+// reference set.
+func TestMinHittingSetNodeLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for found := 0; found < 20; {
+		cores, costs := randomGrowingCores(rng, 4+rng.Intn(12), 2+rng.Intn(10))
+		k := len(cores)
+		want := minHittingSetRef(cores, costs, noNodeLimit)
+		greedy, _ := greedyHittingSet(cores, costs)
+		if hittingCost(want, costs) == hittingCost(greedy, costs) {
+			continue // the search has nothing to find below the seed
+		}
+		found++
+		slices.Sort(greedy)
+		hs := hittingSets{costs: costs}
+		hs.next(cores[:k-1], noNodeLimit)
+		floor := hs.floor
+		for _, maxNodes := range []int64{0, 1} {
+			got, nodes, ok := hs.next(cores, maxNodes)
+			if !ok || !slices.Equal(got, greedy) || nodes <= maxNodes {
+				t.Fatalf("limit %d: got %v ok=%v after %d nodes, want the greedy seed %v past the limit\ncores %v\ncosts %v",
+					maxNodes, got, ok, nodes, greedy, cores, costs)
+			}
+			if hs.floor != floor || hs.path != nil {
+				t.Fatalf("limit %d: floor %d path %v after expiry, want floor %d and no path", maxNodes, hs.floor, hs.path, floor)
+			}
+		}
+		if got, _, _ := hs.next(cores, noNodeLimit); !slices.Equal(got, want) {
+			t.Fatalf("after expiry: got %v, reference %v\ncores %v\ncosts %v", got, want, cores, costs)
+		}
+	}
+}
+
 // TestMinHittingSetEmptyCore pins the answer for an empty core: no
 // set hits it, and both searches say so instead of looping (the greedy
 // seed once appended -1 forever).
@@ -147,7 +188,7 @@ func TestMinHittingSetEmptyCore(t *testing.T) {
 			if sel, ok := greedyHittingSet(cores, costs); ok || sel != nil {
 				t.Errorf("greedy on %v: got %v ok=%v, want no hitting set", cores, sel, ok)
 			}
-			if sel, ok := minHittingSet(cores, costs, 0, farFuture()); ok || sel != nil {
+			if sel, ok := minHittingSet(cores, costs, 0, noNodeLimit); ok || sel != nil {
 				t.Errorf("exact on %v: got %v ok=%v, want no hitting set", cores, sel, ok)
 			}
 		}
@@ -226,14 +267,14 @@ func BenchmarkMinHittingSet(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hs := hittingSets{costs: costs}
 			for k := 0; k <= len(cores); k++ {
-				hs.next(cores[:k], farFuture())
+				hs.next(cores[:k], noNodeLimit)
 			}
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k <= len(cores); k++ {
-				minHittingSetRef(cores[:k], costs, farFuture())
+				minHittingSetRef(cores[:k], costs, noNodeLimit)
 			}
 		}
 	})

@@ -13,12 +13,9 @@ import (
 	"ecopatch/internal/synth"
 )
 
-// errBudget reports that a SAT budget was exhausted; the caller falls
-// back to the structural method, mirroring the paper's timeout path.
+// errBudget reports that a call's ConfBudget or a stage's work meter
+// ran out; the caller falls back, mirroring the paper's timeout path.
 var errBudget = errors.New("eco: SAT budget exhausted")
-
-// errTooManyCubes reports cube-enumeration blowup.
-var errTooManyCubes = errors.New("eco: cube enumeration exceeded MaxCubes")
 
 // errCancelled reports that the run's context was cancelled between
 // pipeline stages; the engine seals a partial result instead of
@@ -68,7 +65,7 @@ func (e *engine) rectifyOne(i int) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, errBudget) || errors.Is(err, errTooManyCubes) || errors.Is(err, errInsufficient) {
+	if errors.Is(err, errBudget) || errors.Is(err, errInsufficient) {
 		// Stage boundary: when the SAT path died because the run was
 		// cancelled (not a mere budget expiry), the structural
 		// fallback is pure-CPU work nobody will read — skip it.

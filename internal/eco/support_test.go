@@ -3,7 +3,6 @@ package eco
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"ecopatch/internal/sat"
 )
@@ -199,7 +198,7 @@ func TestGreedyAndExactHittingSets(t *testing.T) {
 	if !covered(sel) {
 		t.Fatalf("greedy set %v does not cover", sel)
 	}
-	exact, ok := minHittingSet(cores, costs, 0, farFuture())
+	exact, ok := minHittingSet(cores, costs, 0, noNodeLimit)
 	if !ok {
 		t.Fatal("exact search found no hitting set")
 	}
@@ -238,7 +237,7 @@ func TestMinHittingSetRandomOptimal(t *testing.T) {
 				}
 			}
 		}
-		got, _ := minHittingSet(cores, costs, 0, farFuture())
+		got, _ := minHittingSet(cores, costs, 0, noNodeLimit)
 		var gotCost int64
 		for _, j := range got {
 			gotCost = gotCost + costs[j]
@@ -279,6 +278,3 @@ func TestMinHittingSetRandomOptimal(t *testing.T) {
 		}
 	}
 }
-
-// farFuture returns a deadline that never expires during tests.
-func farFuture() time.Time { return time.Now().Add(time.Hour) }

@@ -47,9 +47,19 @@ fi
 
 # Optional, gating when enabled: end-to-end ecod daemon smoke tests —
 # serve/submit/metrics/drain, then the crash-safety pass (kill -9,
-# restart on the same -data-dir, torn-tail recovery). Enable with
+# restart on the same -data-dir, torn-tail recovery) — and unit6
+# through the SAT path under the eco defaults: its second target's
+# cube enumeration runs until the work meter hands it to the
+# structural fallback (about 30 s on a 2-core VM), and the patch must
+# come back verified (eco exits nonzero otherwise). Enable with
 # SMOKE=1.
 if [ "${SMOKE:-0}" = "1" ]; then
 	./scripts/smoke_server.sh
 	./scripts/smoke_persist.sh
+	unit6=$(mktemp -d)
+	go build -o "$unit6/ecogen" ./cmd/ecogen
+	go build -o "$unit6/eco" ./cmd/eco
+	"$unit6/ecogen" -unit unit6 -out "$unit6"
+	"$unit6/eco" -dir "$unit6/unit6" -timeout 180s -o "$unit6/patch.v"
+	rm -rf "$unit6"
 fi
