@@ -13,21 +13,23 @@ import (
 // sets decide which SAT calls it makes; both must leave the totals
 // exactly where the per-solver sum over the whole run put them. The
 // one-copy solver of the constant-target check outlives every window
-// and must be folded exactly once. unit5 runs the cofactor feasibility
-// check, unit14 the 2QBF one and settles 9 of its 12 targets as
-// constants, unit13 the exact support search (simulation answers its
-// constant check, so its solver never runs).
+// and must be folded exactly once; so must each target's offset solver
+// for cube expansion, which is registered inside rectifyOne's mark and
+// released with it. unit5 runs the cofactor feasibility check, unit14
+// the 2QBF one and settles 9 of its 12 targets as constants, unit13
+// the exact support search (simulation answers its constant check, so
+// its solver never runs).
 func TestSolverStatsPinned(t *testing.T) {
 	for _, c := range []struct {
 		unit, mode string
 		want       sat.Stats
 	}{
-		{"unit5", ModeMinAssume, sat.Stats{Starts: 62, Decisions: 2232, Propagations: 54843,
-			Conflicts: 723, SolveCalls: 58, Learnts: 722, Restarts: 4, LBDSum: 4067}},
-		{"unit14", ModeMinAssume, sat.Stats{Starts: 355, Decisions: 15360, Propagations: 438677,
-			Conflicts: 1443, SolveCalls: 351, Learnts: 1442, Restarts: 4, LBDSum: 7408}},
-		{"unit13", ModeExact, sat.Stats{Starts: 112, Decisions: 6482, Propagations: 64515,
-			Conflicts: 301, SolveCalls: 112, Learnts: 300, LBDSum: 1230}},
+		{"unit5", ModeMinAssume, sat.Stats{Starts: 58, Decisions: 1963, Propagations: 56969,
+			Conflicts: 831, SolveCalls: 54, Learnts: 830, Restarts: 4, LBDSum: 4470}},
+		{"unit14", ModeMinAssume, sat.Stats{Starts: 318, Decisions: 8167, Propagations: 396014,
+			Conflicts: 1671, SolveCalls: 314, Learnts: 1670, Restarts: 4, LBDSum: 8361}},
+		{"unit13", ModeExact, sat.Stats{Starts: 106, Decisions: 5688, Propagations: 59001,
+			Conflicts: 316, SolveCalls: 106, Learnts: 315, LBDSum: 1288}},
 	} {
 		cfg, err := ConfigByName(1, c.unit)
 		if err != nil {

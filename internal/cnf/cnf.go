@@ -45,11 +45,23 @@ func (e *Encoder) Encode(roots ...aig.Lit) []sat.Lit {
 
 // Lit returns the solver literal for an AIG edge, encoding its cone
 // on first use. Encoding is iterative in topological order, so deep
-// cones cannot overflow the stack.
+// cones cannot overflow the stack. The solver reserves room for the
+// fresh part of the cone first, so it grows once per cone.
 func (e *Encoder) Lit(l aig.Lit) sat.Lit {
 	e.grow()
 	if e.vars[l.Node()] == sat.LitUndef {
-		for _, n := range e.G.ConeNodes([]aig.Lit{l}) {
+		cone := e.G.ConeNodes([]aig.Lit{l})
+		fresh, ands := 0, 0
+		for _, n := range cone {
+			if e.vars[n] == sat.LitUndef {
+				fresh++
+				if e.G.IsAnd(n) {
+					ands++
+				}
+			}
+		}
+		e.S.Reserve(fresh, andClauses*ands, andLits*ands)
+		for _, n := range cone {
 			if e.vars[n] == sat.LitUndef {
 				e.encodeNode(n)
 			}
@@ -57,6 +69,12 @@ func (e *Encoder) Lit(l aig.Lit) sat.Lit {
 	}
 	return e.vars[l.Node()].XorSign(l.Compl())
 }
+
+// An AND node takes three problem clauses: two binary and one ternary.
+const (
+	andClauses = 3
+	andLits    = 2*2 + 3
+)
 
 // encodeNode creates the solver variable and clauses for node n.
 // AND fanins must already be encoded (guaranteed by topological

@@ -69,21 +69,29 @@ func (g *solverGroup) stats() sat.Stats {
 }
 
 // The work meter bounds each target's support and patch stage where
-// they can run away, in SAT_prune and cube enumeration: past
-// stageAllot ticks SAT_prune degrades to minimize_assumptions and cube
+// they can run away, in SAT_prune and cube enumeration: past its
+// allotment SAT_prune degrades to minimize_assumptions and cube
 // enumeration hands the target to the structural patch. A tick is one
 // propagation of the run's solvers (a delta of the group's stats); a
 // hitting-set node, about as slow as eight propagations, costs
 // hittingNodeTicks. Unlike a wall clock, the meter stops a stage at
-// the same point under any load. workAllot is about twice the largest
-// stage charge of any Table-1 cell (EXPERIMENTS E26).
+// the same point under any load. supportAllot is about twice the
+// largest support charge of a scale-1 Table-1 cell (EXPERIMENTS E26).
+// patchAllot is about twice the largest patch charge that finishes
+// over the Table-1 cells at scales 1 and 2 and the ecod-revisions jobs
+// (E27): 15.4 M ticks, at scale 2; the scale-2 stages that charge more
+// all reach 130 M ticks unfinished. Patch charges grow with instance
+// size (the scale-1 maximum is 2.2 M), so inputs well beyond scale 2
+// may need a larger patchAllot.
 const (
-	workAllot        = 130_000_000
+	supportAllot     = 130_000_000
+	patchAllot       = 31_000_000
 	hittingNodeTicks = 8
 )
 
-// stageAllot is workAllot; only tests lower it, to reach the fallbacks.
-var stageAllot int64 = workAllot
+// stageAllot holds the allotments in force; only tests lower them, to
+// reach the fallbacks.
+var stageAllot = struct{ support, patch int64 }{supportAllot, patchAllot}
 
 // interruptAll interrupts every registered solver and marks the group
 // stopped so later registrations abort immediately.

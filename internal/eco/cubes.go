@@ -1,36 +1,67 @@
 package eco
 
 import (
+	"ecopatch/internal/aig"
+	"ecopatch/internal/cnf"
 	"ecopatch/internal/sat"
+	"ecopatch/internal/sim"
 	"ecopatch/internal/synth"
 )
+
+// offsetBankHook, when non-nil, wraps the model bank that answers
+// cube-expansion probes on the offset solver. Only tests set it, to
+// re-check or silence the bank (TestOffsetBankSound).
+var offsetBankHook func(off *sat.Solver, b *sim.ModelBank) modelFinder
 
 // enumerateCubes computes the patch function as an irredundant prime
 // SOP over the selected divisors (§3.5):
 //
 //	loop:
 //	  - find an onset point: a satisfying assignment of the n=0 copy
-//	    (a mismatch the patch must fix by producing 1);
+//	    on the two-copy solver s (a mismatch the patch must fix by
+//	    producing 1);
 //	  - expand its divisor minterm into a prime cube by dropping
-//	    literals while the n=1 copy (the offset) stays unreachable —
-//	    this is minimize_assumptions again, now over cube literals;
+//	    literals while the offset M(1,x) stays unreachable — this is
+//	    minimize_assumptions again, now over cube literals;
 //	  - block the cube in the onset copy and continue.
 //
-// The equality selectors are left unassumed here, so the two copies
-// are independent and the cube check works point-wise. Past the work
-// meter's allotment it returns errBudget: the target gets the
-// structural patch.
-func (e *engine) enumerateCubes(s *sat.Solver, r1, r2 sat.Lit,
-	divs []divisor, selected []int, d1s, d2s []sat.Lit) (*synth.SOP, error) {
+// Expansion never reads the onset copy, so its probes go to a fresh
+// offset solver that encodes only m1 and the selected divisors. That
+// solver only ever receives definitional clauses, so every model it
+// returns stays a model, and a bank of those models answers later
+// probes without the solver. The onset search stays on s, whose learnt
+// clauses from the sufficiency proof and support selection shorten the
+// final "onset exhausted" proof. Past the work meter's patch allotment
+// it returns errBudget: the target gets the structural patch.
+func (e *engine) enumerateCubes(s *sat.Solver, r1 sat.Lit, m1 aig.Lit,
+	divs []divisor, selected []int, d1s []sat.Lit) (*synth.SOP, error) {
 
-	sop := synth.NewSOP(len(selected))
+	off := cnf.NewEncoder(e.newSolver(), e.w)
+	r2 := off.Lit(m1)
+	// d2s[pos] is the offset literal meaning "divisor selected[pos] is
+	// true"; it may itself be negated (complemented AIG edge).
+	d2s := make([]sat.Lit, len(selected))
 	posOfVar := make(map[sat.Var]int, len(selected))
 	for pos, j := range selected {
-		posOfVar[d2s[j].Var()] = pos
+		d2s[pos] = off.Lit(divs[j].edge)
+		posOfVar[d2s[pos].Var()] = pos
 	}
+	bank := sim.NewModelBank(append([]sat.Lit{r2}, d2s...), simModelBankMax)
+	m := &minimizer{s: off.S, fixed: []sat.Lit{r2}, calls: &e.stats.MinimizeCalls,
+		satCalls: &e.stats.SATCalls, bank: bank, elided: &e.stats.SimElided,
+		onSat: func() {
+			if bank.Add(off.S) {
+				e.stats.SimPatterns++
+			}
+		}}
+	if offsetBankHook != nil {
+		m.bank = offsetBankHook(off.S, bank)
+	}
+
+	sop := synth.NewSOP(len(selected))
 	start := e.group.stats().Propagations // the work meter, see stageAllot
 	for {
-		if e.group.stats().Propagations-start >= stageAllot {
+		if e.group.stats().Propagations-start >= stageAllot.patch {
 			return nil, errBudget
 		}
 		e.stats.SATCalls++
@@ -43,14 +74,9 @@ func (e *engine) enumerateCubes(s *sat.Solver, r1, r2 sat.Lit,
 		// Read the divisor minterm of the onset point.
 		cubeLits := make([]sat.Lit, len(selected))
 		for pos, j := range selected {
-			v := s.ModelBool(d1s[j])
-			cubeLits[pos] = d2s[j].XorSign(!v)
+			cubeLits[pos] = d2s[pos].XorSign(!s.ModelBool(d1s[j]))
 		}
-		// Expand to a prime cube against the offset copy.
-		// No bank here: cube blocking has started adding clauses, so
-		// banked models are no longer trustworthy (see satPatchWith).
-		m := &minimizer{s: s, fixed: []sat.Lit{r2}, calls: &e.stats.MinimizeCalls,
-			satCalls: &e.stats.SATCalls}
+		// Expand to a prime cube against the offset.
 		kept, err := m.minimize(cubeLits)
 		if err != nil {
 			return nil, err
@@ -58,10 +84,7 @@ func (e *engine) enumerateCubes(s *sat.Solver, r1, r2 sat.Lit,
 		cube := synth.NewCube(len(selected))
 		for _, l := range cubeLits[:kept] {
 			pos := posOfVar[l.Var()]
-			// The divisor's value polarity, not the raw SAT-literal
-			// sign: d2s[j] is the literal meaning "divisor is true"
-			// and may itself be negated (complemented AIG edge).
-			if l == d2s[selected[pos]] {
+			if l == d2s[pos] {
 				cube[pos] = synth.Pos
 			} else {
 				cube[pos] = synth.Neg

@@ -124,8 +124,9 @@ func TestInterpolationVerifies(t *testing.T) {
 // work, not time, so a run beside a concurrent CPU-bound solve must
 // return the same patches as a run alone.
 func TestWorkMeterDeterministic(t *testing.T) {
-	defer func(allot int64) { stageAllot = allot }(stageAllot)
-	stageAllot = 20000
+	saved := stageAllot
+	defer func() { stageAllot = saved }()
+	stageAllot.support, stageAllot.patch = 20000, 20000
 	opt := DefaultOptions()
 	opt.Support = SupportExact
 	solve := func(inst *Instance) ([]TargetPatch, string) {

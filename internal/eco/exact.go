@@ -41,7 +41,7 @@ func (e *engine) exactSupport(s *sat.Solver, fixed []sat.Lit, divs []divisor,
 		// a hitting set exists. Past the node limit the search returns
 		// the greedy seed, which is not provably cheapest: the stage
 		// is over budget.
-		left := stageAllot - nodeTicks - (e.group.stats().Propagations - start)
+		left := stageAllot.support - nodeTicks - (e.group.stats().Propagations - start)
 		maxNodes := left / hittingNodeTicks
 		sel, nodes, _ := hs.next(cores, maxNodes)
 		if left <= 0 || nodes > maxNodes {

@@ -255,8 +255,9 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		return err
 	}
 
-	// Cube enumeration adds blocking clauses, which invalidates every
-	// banked model — the bank's soundness ends here.
+	// Cube enumeration adds blocking clauses to s, which invalidates
+	// every model banked on it: the window bank ends here. Expansion
+	// probes run on their own offset solver, which keeps its own bank.
 	e.winBank, e.winEqs = nil, nil
 
 	tPatch := time.Now()
@@ -273,7 +274,7 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 			return err
 		}
 	} else {
-		sop, err = e.enumerateCubes(s, r1, r2, divs, selected, d1s, d2s)
+		sop, err = e.enumerateCubes(s, r1, m1, divs, selected, d1s)
 		if err != nil {
 			return err
 		}

@@ -16,8 +16,9 @@ import (
 // simulation-guided divisor pruning.
 
 const (
-	// simModelBankMax caps banked models per window; support selection
-	// rarely produces more than a few hundred distinct Sat answers.
+	// simModelBankMax caps banked models per window bank and per
+	// offset bank of cube expansion; support selection rarely produces
+	// more than a few hundred distinct Sat answers.
 	simModelBankMax = 1024
 	// simPatternPoolMax caps the cross-window input pattern pool, which
 	// is append-only, so every simulation round stays bounded.

@@ -1,9 +1,6 @@
 package eco
 
-import (
-	"ecopatch/internal/sat"
-	"ecopatch/internal/sim"
-)
+import "ecopatch/internal/sat"
 
 // minimizer implements procedure minimize_assumptions (Algorithm 1 of
 // the paper): given a formula UNSAT under fixed ∪ A, it permutes A in
@@ -28,7 +25,7 @@ type minimizer struct {
 	// whole assumption set answers Sat exactly. elided counts the hits;
 	// onSat (if set) runs after each real solver Sat so the caller can
 	// bank the fresh model.
-	bank   *sim.ModelBank
+	bank   modelFinder
 	elided *int64
 	onSat  func()
 
@@ -36,6 +33,13 @@ type minimizer struct {
 	// minimize issues O(log N + M) SAT queries and allocating a fresh
 	// slice per query is measurable garbage on Algorithm 1's hot loop.
 	scratch []sat.Lit
+}
+
+// modelFinder answers an assumption set from stored models: Find
+// returns the index of a model satisfying every literal, or -1.
+// *sim.ModelBank is the one in use; tests wrap it.
+type modelFinder interface {
+	Find(assumps []sat.Lit) int
 }
 
 func (m *minimizer) solve(extra []sat.Lit) (sat.Status, error) {

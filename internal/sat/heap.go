@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // varHeap is an indexed max-heap over variables ordered by VSIDS
 // activity. It supports decrease/increase-key via the position index,
 // which plain container/heap cannot do without O(n) scans.
@@ -11,6 +13,12 @@ type varHeap struct {
 
 func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
+}
+
+// reserve makes room for n more variables in the heap and its index.
+func (h *varHeap) reserve(n int) {
+	h.heap = slices.Grow(h.heap, n)
+	h.index = slices.Grow(h.index, n)
 }
 
 func (h *varHeap) growTo(n int) {

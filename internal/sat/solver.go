@@ -1,6 +1,9 @@
 package sat
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // watcher pairs a watched clause with a blocker literal: if the
 // blocker is already true the clause is satisfied and need not be
@@ -194,6 +197,27 @@ func (s *Solver) EnsureVars(n int) {
 	for len(s.assigns) < n {
 		s.NewVar()
 	}
+}
+
+// Reserve makes room for vars more variables and clauses more problem
+// clauses holding lits literals in all, so that loading a formula of
+// known size grows each slice once instead of doubling it step by
+// step. It changes no solver state: a solver behaves the same with or
+// without it.
+func (s *Solver) Reserve(vars, clauses, lits int) {
+	s.assigns = slices.Grow(s.assigns, vars)
+	s.level = slices.Grow(s.level, vars)
+	s.reason = slices.Grow(s.reason, vars)
+	s.seen = slices.Grow(s.seen, vars)
+	s.activity = slices.Grow(s.activity, vars)
+	s.polarity = slices.Grow(s.polarity, vars)
+	s.unitID = slices.Grow(s.unitID, vars)
+	s.lbdStamp = slices.Grow(s.lbdStamp, vars)
+	s.trail = slices.Grow(s.trail, vars)
+	s.watches = slices.Grow(s.watches, 2*vars)
+	s.order.reserve(vars)
+	s.clauses = slices.Grow(s.clauses, clauses)
+	s.ca.data = slices.Grow(s.ca.data, lits+clauses*claLits)
 }
 
 // Value returns the current assignment of v (valid during search and,

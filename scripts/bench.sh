@@ -1,8 +1,8 @@
 #!/bin/sh
-# Microbenchmark sweep: runs the Go benchmarks of the SAT kernel and
-# the ECO engine with -benchmem, 5 repetitions each, and converts the
-# raw `go test -bench` output into BENCH_sat.json (schema
-# ecobench/microbench@v1) for trend tooling. The raw text is kept in
+# Microbenchmark sweep: runs the Go benchmarks of the SAT kernel, the
+# CNF encoder and the ECO engine with -benchmem, 5 repetitions each,
+# and converts the raw `go test -bench` output into BENCH_sat.json
+# (schema ecobench/microbench@v1) for trend tooling. The raw text is kept in
 # BENCH_sat.txt so benchstat can diff two runs:
 #
 #   ./scripts/bench.sh && mv BENCH_sat.txt old.txt
@@ -21,7 +21,7 @@ OUT_TXT="${BENCH_OUT:-BENCH_sat.txt}"
 OUT_JSON="${BENCH_JSON:-BENCH_sat.json}"
 
 go test -bench=. -benchmem -count="$COUNT" -run '^$' \
-	./internal/sat ./internal/eco | tee "$OUT_TXT"
+	./internal/sat ./internal/cnf ./internal/eco | tee "$OUT_TXT"
 
 # Convert "BenchmarkName-N  iters  X ns/op  Y B/op  Z allocs/op" lines
 # into JSON, averaging over the repetitions of each benchmark.

@@ -50,7 +50,7 @@ fi
 # restart on the same -data-dir, torn-tail recovery) — and unit6
 # through the SAT path under the eco defaults: its second target's
 # cube enumeration runs until the work meter hands it to the
-# structural fallback (about 30 s on a 2-core VM), and the patch must
+# structural fallback (about 7 s on a 2-core VM), and the patch must
 # come back verified (eco exits nonzero otherwise). Enable with
 # SMOKE=1.
 if [ "${SMOKE:-0}" = "1" ]; then
