@@ -50,7 +50,7 @@ func main() {
 		noWindow   = flag.Bool("no-window", false, "disable structural pruning (§3.3)")
 		noCegar    = flag.Bool("no-cegarmin", false, "disable CEGAR_min for structural patches")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline; on expiry before every target is patched the result carries no patch, after that it is unverified (0 = none)")
+		timeout    = flag.Duration("timeout", 0, "wall-clock deadline; on expiry before every target is patched the result carries no patch, after that it is unverified; feasibility is reported only if decided before expiry (0 = none)")
 		verbose    = flag.Bool("v", false, "log engine progress to stderr")
 		jsonOut    = flag.Bool("json", false, "emit a JSON report on stdout instead of text")
 	)
@@ -91,7 +91,7 @@ func main() {
 		}
 		return
 	}
-	// A run cut short before the feasibility check has no verdict.
+	// A run cut short before the feasibility verdict has none.
 	if !res.Feasible && !res.TimedOut {
 		fmt.Println("INFEASIBLE: the target set cannot rectify the implementation")
 		os.Exit(1)

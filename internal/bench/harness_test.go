@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"bytes"
+	"context"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +114,56 @@ func TestTimeoutPartialResult(t *testing.T) {
 	for _, p := range res.Patches {
 		if !p.Structural {
 			t.Fatalf("target %s patched by SAT under an expired deadline", p.Target)
+		}
+	}
+}
+
+// cancelOnTarget is an Options.Log writer that cancels the solve's
+// context when the first "target …" progress line appears, so a test
+// can cut a run short at a fixed stage without racing a wall clock.
+type cancelOnTarget context.CancelFunc
+
+func (c cancelOnTarget) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("target ")) {
+		c()
+	}
+	return len(p), nil
+}
+
+// TestDeadlineVerdict pins what a run cut short after its first target
+// reports about feasibility. unit9 has 4 targets, so no feasibility
+// check runs before the patches: the run ends with no patches and no
+// verdict, which the JSON forms omit. unit14 has 12, more than
+// MaxQuantExpand+1, so its check ran first and its verdict stands.
+func TestDeadlineVerdict(t *testing.T) {
+	for _, c := range []struct {
+		unit, verdict string // verdict: Verdict(res) printed, "nil" for none
+	}{{"unit9", "nil"}, {"unit14", "true"}} {
+		inst, err := eco.LoadDir(filepath.Join("..", "eco", "testdata", c.unit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		opt := eco.DefaultOptions()
+		opt.Log = cancelOnTarget(cancel)
+		res, err := eco.SolveContext(ctx, inst, opt)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", c.unit, err)
+		}
+		if !res.TimedOut || len(res.Patches) != 0 || res.Verified {
+			t.Fatalf("%s: timedOut=%v patches=%d verified=%v, want true, 0, false",
+				c.unit, res.TimedOut, len(res.Patches), res.Verified)
+		}
+		if want := c.verdict == "true"; res.Feasible != want {
+			t.Fatalf("%s: feasible=%v, want %v", c.unit, res.Feasible, want)
+		}
+		got := "nil"
+		if v := Verdict(res); v != nil {
+			got = strconv.FormatBool(*v)
+		}
+		if got != c.verdict {
+			t.Fatalf("%s: Verdict = %s, want %s", c.unit, got, c.verdict)
 		}
 	}
 }

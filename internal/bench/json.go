@@ -99,7 +99,8 @@ func CellFromResult(res *eco.Result) JSONCell {
 }
 
 // Verdict is res.Feasible for the JSON reports: nil, no verdict, for a
-// run cut short before the feasibility check answered.
+// run cut short before a verified patch or the feasibility check gave
+// one (see eco.SolveContext).
 func Verdict(res *eco.Result) *bool {
 	if res.TimedOut && !res.Feasible {
 		return nil

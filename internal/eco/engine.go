@@ -87,7 +87,9 @@ type Options struct {
 	// UseQBF validates target sufficiency with the 2QBF CEGAR solver
 	// and reuses its countermoves for move-guided structural patches
 	// (§3.2 alternative and §3.6.2). When false, sufficiency is
-	// checked by cofactor expansion.
+	// checked by cofactor expansion. The check runs first only beyond
+	// MaxQuantExpand+1 targets, where it is always the 2QBF one, and
+	// otherwise only after a failed verification (see SolveContext).
 	UseQBF bool
 	// ForceStructural skips SAT-based patch computation entirely,
 	// exercising the timeout path of §3.6 deterministically.
@@ -230,7 +232,11 @@ func (s *Stats) Add(o Stats) {
 
 // Result is the outcome of Solve.
 type Result struct {
-	Feasible bool // target set sufficient (expression (1) UNSAT)
+	// Feasible reports that the target set is sufficient (expression
+	// (1) UNSAT): certified by a verified patch, or decided by the
+	// feasibility check when it runs (see SolveContext). False with
+	// TimedOut set means no verdict was reached.
+	Feasible bool
 	Verified bool // patched implementation equivalent to spec
 	// TimedOut reports that Options.Timeout (or the caller's context)
 	// expired during the solve. If it expired before every target was
@@ -348,6 +354,15 @@ func Solve(inst *Instance, opt Options) (*Result, error) {
 // patches (no structural fallback is built for a cancelled run); one
 // cut short later carries its patches unverified. Stats and Elapsed
 // are always populated.
+//
+// The feasibility verdict (expression (1), Result.Feasible) is lazy.
+// With more than MaxQuantExpand+1 targets the check runs first, as in
+// §3.2, because its countermoves guide quantification (§3.6.2).
+// Otherwise the Theorem-1 sequence and the final verification run at
+// once: a verified patch certifies feasibility, and only a failed
+// verification runs the check. An infeasible verdict returns no
+// patches; a feasible one keeps the unverified result. A run cut short
+// before the verdict has Feasible false and TimedOut set.
 func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, error) {
 	start := time.Now()
 	if err := inst.Check(); err != nil {
@@ -370,13 +385,20 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	if e.cancelled() {
 		return e.seal(ctx, start), nil
 	}
-	feasible, err := e.checkFeasible()
-	if err != nil {
-		return nil, err
-	}
-	e.res.Feasible = feasible
-	if !feasible || e.cancelled() {
-		return e.seal(ctx, start), nil
+	// Countermoves guide quantification only when more than
+	// MaxQuantExpand other targets remain.
+	upFront := len(e.targets)-1 > opt.MaxQuantExpand
+	if upFront {
+		e.logf("feasibility: 2QBF check first (%d targets exceed MaxQuantExpand+1 = %d)",
+			len(e.targets), opt.MaxQuantExpand+1)
+		feasible, err := e.checkFeasible()
+		if err != nil {
+			return nil, err
+		}
+		e.res.Feasible = feasible
+		if !feasible || e.cancelled() {
+			return e.seal(ctx, start), nil
+		}
 	}
 	if err := e.rectifyAll(false); err != nil {
 		if errors.Is(err, errCancelled) {
@@ -411,6 +433,22 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 		}
 	}
 	e.res.Verified = ok
+	switch {
+	case upFront: // the verdict is in
+	case ok:
+		e.logf("feasibility: certified by the verified patch")
+		e.res.Feasible = true
+	case !e.cancelled():
+		feasible, err := e.checkFeasible()
+		if err != nil {
+			return nil, err
+		}
+		e.logf("feasibility: checked after a failed verification: feasible=%v", feasible)
+		e.res.Feasible = feasible
+		if !feasible {
+			return e.seal(ctx, start), nil
+		}
+	}
 	e.finish()
 	return e.seal(ctx, start), nil
 }

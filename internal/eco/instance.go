@@ -4,7 +4,10 @@
 // The flow follows Figure 2 of the paper:
 //
 //  1. verify that the target set is sufficient (§3.2, expression (1)),
-//     via combinational-equivalence SAT or the 2QBF CEGAR solver;
+//     via combinational-equivalence SAT or the 2QBF CEGAR solver —
+//     first only when its countermoves guide quantification (more than
+//     MaxQuantExpand+1 targets), otherwise only if step 7 fails, since
+//     a verified patch already proves the target set sufficient;
 //  2. structural pruning computes a logic window and the candidate
 //     divisors with their costs (§3.3);
 //  3. targets are rectified one at a time (Theorem 1, §3.1): the

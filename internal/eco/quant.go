@@ -17,9 +17,12 @@ func (e *engine) selfPIMap() []aig.Lit {
 }
 
 // checkFeasible decides expression (1): the target set is sufficient
-// iff ∃x ∀t M(t,x) is false. Per §3.2, a budget-exhausted check is
-// treated as "assume feasible" — the structural path plus final
-// verification covers the optimistic guess.
+// iff ∃x ∀t M(t,x) is false. SolveContext calls it before the
+// Theorem-1 sequence only when its countermoves (e.moves) will guide
+// quantification, and otherwise only after a failed verification,
+// since a verified patch certifies feasibility by itself. Per §3.2, a
+// budget-exhausted check is treated as "assume feasible" — the
+// structural path plus final verification covers the optimistic guess.
 func (e *engine) checkFeasible() (bool, error) {
 	defer e.group.release(e.group.mark())
 	k := len(e.tPIs)

@@ -203,12 +203,20 @@ func (e *engine) cegarMinPatch(i int, m0 aig.Lit) error {
 	boundary := make(map[int]int)
 	boundaryCompl := make(map[int]bool)
 	var support []string
+	pos := make(map[string]int)
 	for _, fi := range cut {
 		n := cone[fi]
 		eq := nodeEquiv[n]
-		boundary[n] = len(support)
+		// Functional matching can map two cut nodes, one the other's
+		// complement, to one signal: they share its patch input.
+		p, ok := pos[eq.name]
+		if !ok {
+			p = len(support)
+			pos[eq.name] = p
+			support = append(support, eq.name)
+		}
+		boundary[n] = p
 		boundaryCompl[n] = eq.compl
-		support = append(support, eq.name)
 	}
 	patch := aig.New()
 	pis := make([]aig.Lit, len(support))

@@ -34,7 +34,7 @@ func metricValue(t *testing.T, text, name string) int64 {
 // served instantly from the completed result, without a second solve
 // and without double-counting the first solve's stats in /metrics.
 func TestDedupServedFromDoneCache(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
 	ctx := context.Background()
 
 	first, err := c.Submit(ctx, testRequest())
@@ -45,9 +45,23 @@ func TestDedupServedFromDoneCache(t *testing.T) {
 	if err != nil || first.State != StateDone {
 		t.Fatalf("first job: %v %+v", err, first)
 	}
-	afterFirst, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The terminal state is visible before the store's finish hook
+	// folds the job into /metrics and completes the result cache, in
+	// that order: wait for both before reading and resubmitting.
+	var afterFirst string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if afterFirst, err = c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.rcache.mu.Lock()
+		cached := len(s.rcache.done)
+		s.rcache.mu.Unlock()
+		if strings.Contains(afterFirst, `ecod_jobs_finished_total{state="done"} 1`) && cached == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("first job not folded into /metrics and the result cache (cached %d)", cached)
+		}
 	}
 	satCalls := metricValue(t, afterFirst, "ecod_sat_solve_calls_total")
 	if satCalls == 0 {
