@@ -306,41 +306,6 @@ func TestCofactor(t *testing.T) {
 	}
 }
 
-func TestUnivExistQuant(t *testing.T) {
-	// f = a XOR b. ∀a f = 0, ∃a f = 1.
-	g := New()
-	a, b := g.AddPI("a"), g.AddPI("b")
-	f := g.Xor(a, b)
-	dst := New()
-	m := IdentityMap(dst, g)
-	u := UnivQuant(dst, g, m, []int{0}, []Lit{f})
-	e := ExistQuant(dst, g, m, []int{0}, []Lit{f})
-	if u[0] != ConstFalse {
-		t.Fatalf("∀a (a⊕b) should fold to false, got %v", u[0])
-	}
-	if e[0] != ConstTrue {
-		t.Fatalf("∃a (a⊕b) should fold to true, got %v", e[0])
-	}
-	// g2 = a AND b: ∀a g2 = 0, ∃a g2 = b.
-	g2 := g.And(a, b)
-	u2 := UnivQuant(dst, g, m, []int{0}, []Lit{g2})
-	e2 := ExistQuant(dst, g, m, []int{0}, []Lit{g2})
-	if u2[0] != ConstFalse {
-		t.Fatalf("∀a (a·b) = %v", u2[0])
-	}
-	for _, bv := range []bool{false, true} {
-		if dst.EvalLit(e2[0], []bool{false, bv}) != bv {
-			t.Fatalf("∃a (a·b) should equal b")
-		}
-	}
-	// Quantifying both variables of XOR: ∀ = false, ∃ = true.
-	u3 := UnivQuant(dst, g, m, []int{0, 1}, []Lit{f})
-	e3 := ExistQuant(dst, g, m, []int{0, 1}, []Lit{f})
-	if u3[0] != ConstFalse || e3[0] != ConstTrue {
-		t.Fatalf("two-var quantification wrong: %v %v", u3[0], e3[0])
-	}
-}
-
 // randomAIG builds a random AIG for property tests.
 func randomAIG(rng *rand.Rand, nPI, nAnd, nPO int) *AIG {
 	g := New()

@@ -86,50 +86,3 @@ func Cofactor(dst *AIG, src *AIG, piMap []Lit, fixed map[int]bool, roots []Lit) 
 	}
 	return Transfer(dst, src, m, roots)
 }
-
-// UnivQuant builds, in dst, the universal quantification of the roots
-// of src over the PI positions in quantVars: the AND over all 2^k
-// cofactors. Other PIs are mapped through piMap. For a single root it
-// returns one edge per root position (AND across cofactors per root).
-//
-// The expansion is exponential in len(quantVars); callers cap k and
-// fall back to move-guided quantification (see internal/eco) beyond
-// that.
-func UnivQuant(dst *AIG, src *AIG, piMap []Lit, quantVars []int, roots []Lit) []Lit {
-	out := make([]Lit, len(roots))
-	for i := range out {
-		out[i] = ConstTrue
-	}
-	k := len(quantVars)
-	fixed := make(map[int]bool, k)
-	for m := 0; m < 1<<uint(k); m++ {
-		for j, v := range quantVars {
-			fixed[v] = m>>uint(j)&1 == 1
-		}
-		co := Cofactor(dst, src, piMap, fixed, roots)
-		for i := range out {
-			out[i] = dst.And(out[i], co[i])
-		}
-	}
-	return out
-}
-
-// ExistQuant is the dual of UnivQuant: OR over all cofactors.
-func ExistQuant(dst *AIG, src *AIG, piMap []Lit, quantVars []int, roots []Lit) []Lit {
-	out := make([]Lit, len(roots))
-	for i := range out {
-		out[i] = ConstFalse
-	}
-	k := len(quantVars)
-	fixed := make(map[int]bool, k)
-	for m := 0; m < 1<<uint(k); m++ {
-		for j, v := range quantVars {
-			fixed[v] = m>>uint(j)&1 == 1
-		}
-		co := Cofactor(dst, src, piMap, fixed, roots)
-		for i := range out {
-			out[i] = dst.Or(out[i], co[i])
-		}
-	}
-	return out
-}

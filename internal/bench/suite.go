@@ -8,8 +8,8 @@ import "fmt"
 // (scale 1 keeps the suite laptop-fast; larger scales approach the
 // contest's gate counts).
 //
-// StructuralUnits lists the units run with a tiny SAT budget in the
-// Table-1 harness, standing in for the four contest units
+// StructuralUnits lists the units the Table-1 harness runs with
+// ForceStructural, standing in for the four contest units
 // (6, 10, 11, 19) that the paper reports as solved by the structural
 // method after SAT timeouts.
 func Suite(scale int) []Config {
@@ -43,7 +43,8 @@ func Suite(scale int) []Config {
 
 // StructuralUnits mirrors the paper's units solved by the structural
 // method (Table 1 rows unit6, unit10, unit11, unit19): the harness
-// runs them with a tiny SAT budget to trigger the §3.6 fallback.
+// runs them with ForceStructural, so they take the §3.6 fallback
+// without a SAT attempt (see Table1Options).
 var StructuralUnits = map[string]bool{
 	"unit6":  true,
 	"unit10": true,

@@ -27,35 +27,65 @@ and (w2, a, b);
 or  (g2, c, w2);
 endmodule`
 
+// specMultiInfeasible asks for g2 = !c, which impl's c | t_1 cannot
+// give at c=1, so no patch exists.
+const specMultiInfeasible = `
+module m (a, b, c, f, g2);
+input a, b, c;
+output f, g2;
+wire w1;
+or  (w1, b, c);
+and (f, a, w1);
+not (g2, c);
+endmodule`
+
 // solveCase is one instance with the options to solve it under.
 type solveCase struct {
-	inst *Instance
-	opt  Options
+	inst       *Instance
+	opt        Options
+	infeasible bool
+}
+
+// check fails t unless res is the outcome tc expects: a verified patch,
+// or for an infeasible instance the verdict with no patches.
+func (tc solveCase) check(t *testing.T, res *Result) {
+	t.Helper()
+	if !tc.infeasible {
+		if !res.Verified {
+			t.Fatal("not verified")
+		}
+		return
+	}
+	if res.Feasible || res.TimedOut || len(res.Patches) != 0 || res.Patch != nil {
+		t.Fatalf("infeasible instance: feasible=%v timedOut=%v patches=%d",
+			res.Feasible, res.TimedOut, len(res.Patches))
+	}
+	if res.Stats.QBFCopies == 0 {
+		t.Fatal("infeasible instance: the 2QBF check did not run")
+	}
 }
 
 // parallelCases returns the instances the determinism tests sweep:
-// single target, multi target, the cofactor-expansion feasibility path
-// (UseQBF off routes checkFeasible through one SAT call on the
-// quantified miter), and unit14. unit14 mixes 9 constant targets with
-// 3 that run the two-copy pipeline, so its runs exercise the one-copy
-// solver shared across the target sequence; under a 100-conflict
-// budget one constant check comes back Unknown and some targets fall
-// back to structural patches, so the shared solver's carried-over state
-// must repeat exactly from run to run.
+// single target, multi target, an infeasible multi-target instance
+// (its patches fail verification, so the 2QBF feasibility check runs
+// after the Theorem-1 sequence), and unit14. unit14 mixes 9 constant
+// targets with 3 that run the two-copy pipeline, so its runs exercise
+// the one-copy solver shared across the target sequence; under a
+// 100-conflict budget one constant check comes back Unknown and some
+// targets fall back to structural patches, so the shared solver's
+// carried-over state must repeat exactly from run to run.
 func parallelCases(t *testing.T) map[string]solveCase {
 	t.Helper()
 	base := DefaultOptions()
-	noQBF := base
-	noQBF.UseQBF = false
 	budget := base
 	budget.ConfBudget = 100
 	unit14 := loadTestdata(t, "unit14")
 	return map[string]solveCase{
-		"single":        {mustInstance(t, implAndTarget, specAndOr, nil), base},
-		"multi":         {mustInstance(t, implMultiTarget, specMultiTarget, nil), base},
-		"multi-noqbf":   {mustInstance(t, implMultiTarget, specMultiTarget, nil), noQBF},
-		"unit14":        {unit14, base},
-		"unit14-budget": {unit14, budget},
+		"single":           {inst: mustInstance(t, implAndTarget, specAndOr, nil), opt: base},
+		"multi":            {inst: mustInstance(t, implMultiTarget, specMultiTarget, nil), opt: base},
+		"multi-infeasible": {inst: mustInstance(t, implMultiTarget, specMultiInfeasible, nil), opt: base, infeasible: true},
+		"unit14":           {inst: unit14, opt: base},
+		"unit14-budget":    {inst: unit14, opt: budget},
 	}
 }
 
@@ -81,9 +111,7 @@ func TestParallelismOneBitReproducible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Verified {
-					t.Fatal("not verified")
-				}
+				tc.check(t, res)
 				st := res.Stats
 				snaps = append(snaps, fmt.Sprintf("%s\nsat_calls=%d solver=%+v cubes=%d",
 					snapshotResult(res), st.SATCalls, st.Solver, st.CubesEnumerated))

@@ -55,8 +55,6 @@ func allAlgoOptions() map[string]Options {
 	structural.ForceStructural = true
 	noWindow := base
 	noWindow.Window = false
-	noQBF := base
-	noQBF.UseQBF = false
 	return map[string]Options{
 		"baseline":   baseline,
 		"minimize":   minimize,
@@ -64,7 +62,6 @@ func allAlgoOptions() map[string]Options {
 		"interp":     interp,
 		"structural": structural,
 		"noWindow":   noWindow,
-		"noQBF":      noQBF,
 	}
 }
 
@@ -115,16 +112,6 @@ endmodule`
 	}
 	if res.Feasible {
 		t.Fatal("instance should be infeasible")
-	}
-	// The expansion-based check must agree.
-	opt := DefaultOptions()
-	opt.UseQBF = false
-	res, err = Solve(inst, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Feasible {
-		t.Fatal("expansion check should also report infeasible")
 	}
 }
 
@@ -581,17 +568,13 @@ or  (w, a, b);
 and (f, a, w);
 not (g2, b);
 endmodule`
-	for _, useQBF := range []bool{true, false} {
-		inst := mustInstance(t, impl, spec, nil)
-		opt := DefaultOptions()
-		opt.UseQBF = useQBF
-		res, err := Solve(inst, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Feasible {
-			t.Fatalf("useQBF=%v: non-window mismatch not detected", useQBF)
-		}
+	inst := mustInstance(t, impl, spec, nil)
+	res, err := Solve(inst, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Feasible {
+		t.Fatal("non-window mismatch not detected")
 	}
 }
 

@@ -77,20 +77,10 @@ type Options struct {
 	// support minimization (§3.4.1, last paragraph).
 	LastGasp bool
 	// CEGARMin enables max-flow/min-cut improvement of structural
-	// patches (§3.6.3).
+	// patches (§3.6.3). Its cut candidates include functional
+	// matches: pairs found by 256-bit simulation signatures and
+	// confirmed by SAT, the "functional resubstitution" variant.
 	CEGARMin bool
-	// FunctionalMatch extends CEGAR_min's equivalence detection from
-	// structural (shared AIG nodes) to functional: candidate pairs
-	// are found by 256-bit simulation signatures and confirmed by
-	// SAT, the "functional resubstitution" variant of §3.6.3.
-	FunctionalMatch bool
-	// UseQBF validates target sufficiency with the 2QBF CEGAR solver
-	// and reuses its countermoves for move-guided structural patches
-	// (§3.2 alternative and §3.6.2). When false, sufficiency is
-	// checked by cofactor expansion. The check runs first only beyond
-	// MaxQuantExpand+1 targets, where it is always the 2QBF one, and
-	// otherwise only after a failed verification (see SolveContext).
-	UseQBF bool
 	// ForceStructural skips SAT-based patch computation entirely,
 	// exercising the timeout path of §3.6 deterministically.
 	ForceStructural bool
@@ -125,14 +115,12 @@ type Options struct {
 // best flow (minimize_assumptions + cube enumeration + windowing).
 func DefaultOptions() Options {
 	return Options{
-		Support:         SupportMinimize,
-		Patch:           PatchCubeEnum,
-		Window:          true,
-		LastGasp:        true,
-		CEGARMin:        true,
-		FunctionalMatch: true,
-		UseQBF:          true,
-		MaxQuantExpand:  8,
+		Support:        SupportMinimize,
+		Patch:          PatchCubeEnum,
+		Window:         true,
+		LastGasp:       true,
+		CEGARMin:       true,
+		MaxQuantExpand: 8,
 	}
 }
 
@@ -146,8 +134,10 @@ func DefaultOptions() Options {
 // changing it changes every digest: the retired MaxCubes and
 // ExactTimeout options keep their words, fixed at the old defaults.
 func (o Options) AppendKey(buf []uint64) []uint64 {
-	flags := uint64(0)
-	for bit, on := range [...]bool{o.Window, o.LastGasp, o.CEGARMin, o.FunctionalMatch, o.UseQBF, o.ForceStructural} {
+	// Bits 3 and 4 held the retired functional-matching and 2QBF-choice
+	// flags; they stay set, as at their old defaults.
+	flags := uint64(1<<3 | 1<<4)
+	for bit, on := range [...]bool{0: o.Window, 1: o.LastGasp, 2: o.CEGARMin, 5: o.ForceStructural} {
 		if on {
 			flags |= 1 << uint(bit)
 		}
@@ -391,12 +381,8 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	if upFront {
 		e.logf("feasibility: 2QBF check first (%d targets exceed MaxQuantExpand+1 = %d)",
 			len(e.targets), opt.MaxQuantExpand+1)
-		feasible, err := e.checkFeasible()
-		if err != nil {
-			return nil, err
-		}
-		e.res.Feasible = feasible
-		if !feasible || e.cancelled() {
+		e.res.Feasible = e.checkFeasible()
+		if !e.res.Feasible || e.cancelled() {
 			return e.seal(ctx, start), nil
 		}
 	}
@@ -439,13 +425,9 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 		e.logf("feasibility: certified by the verified patch")
 		e.res.Feasible = true
 	case !e.cancelled():
-		feasible, err := e.checkFeasible()
-		if err != nil {
-			return nil, err
-		}
-		e.logf("feasibility: checked after a failed verification: feasible=%v", feasible)
-		e.res.Feasible = feasible
-		if !feasible {
+		e.res.Feasible = e.checkFeasible()
+		e.logf("feasibility: checked after a failed verification: feasible=%v", e.res.Feasible)
+		if !e.res.Feasible {
 			return e.seal(ctx, start), nil
 		}
 	}

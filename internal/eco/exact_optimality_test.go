@@ -31,11 +31,7 @@ func TestExactSupportIsOptimalBruteForce(t *testing.T) {
 		if err := probe.setup(); err != nil {
 			t.Fatal(err)
 		}
-		feasible, err := probe.checkFeasible()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !feasible || len(probe.targets) != 1 || len(probe.divisors) > 12 {
+		if !probe.checkFeasible() || len(probe.targets) != 1 || len(probe.divisors) > 12 {
 			continue
 		}
 		probe.rectifyAllInit()

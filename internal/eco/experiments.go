@@ -31,11 +31,7 @@ func CompareMinimize(inst *Instance) (*MinimizeComparison, error) {
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
-	feasible, err := e.checkFeasible()
-	if err != nil {
-		return nil, err
-	}
-	if !feasible {
+	if !e.checkFeasible() {
 		return nil, fmt.Errorf("eco: instance infeasible")
 	}
 	e.rectifyAllInit()

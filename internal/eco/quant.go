@@ -2,9 +2,7 @@ package eco
 
 import (
 	"ecopatch/internal/aig"
-	"ecopatch/internal/cnf"
 	"ecopatch/internal/qbf"
-	"ecopatch/internal/sat"
 )
 
 // selfPIMap returns the identity PI map of the working AIG.
@@ -16,55 +14,30 @@ func (e *engine) selfPIMap() []aig.Lit {
 	return m
 }
 
-// checkFeasible decides expression (1): the target set is sufficient
-// iff ∃x ∀t M(t,x) is false. SolveContext calls it before the
-// Theorem-1 sequence only when its countermoves (e.moves) will guide
-// quantification, and otherwise only after a failed verification,
-// since a verified patch certifies feasibility by itself. Per §3.2, a
-// budget-exhausted check is treated as "assume feasible" — the
-// structural path plus final verification covers the optimistic guess.
-func (e *engine) checkFeasible() (bool, error) {
+// checkFeasible decides expression (1) with the 2QBF CEGAR of §3.2:
+// the target set is sufficient iff ∃x ∀t M(t,x) is false.
+// SolveContext calls it before the Theorem-1 sequence only when its
+// countermoves (e.moves) will guide quantification, and otherwise only
+// after a failed verification, since a verified patch certifies
+// feasibility by itself. Per §3.2, a budget-exhausted check is treated
+// as "assume feasible" — the structural path plus final verification
+// covers the optimistic guess.
+func (e *engine) checkFeasible() bool {
 	defer e.group.release(e.group.mark())
-	k := len(e.tPIs)
-	if e.opt.UseQBF || k > e.opt.MaxQuantExpand {
-		r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{
-			ConfBudget: e.opt.ConfBudget,
-			OnSolver:   e.group.add,
-		})
-		if err != nil {
-			e.logf("feasibility qbf gave up (%v); assuming feasible", err)
-			return true, nil
-		}
-		e.stats.QBFCopies = r.Copies
-		e.moves = r.Moves
-		if r.Holds {
-			e.logf("infeasible: input witness found for ∃x∀t M(t,x)")
-		}
-		return !r.Holds, nil
+	r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{
+		ConfBudget: e.opt.ConfBudget,
+		OnSolver:   e.group.add,
+	})
+	if err != nil {
+		e.logf("feasibility qbf gave up (%v); assuming feasible", err)
+		return true
 	}
-	// Cofactor-expansion check: ∀-quantify all targets, then one SAT
-	// call (combinational-equivalence style).
-	quant := aig.UnivQuant(e.w, e.w, e.selfPIMap(), e.tPIs, []aig.Lit{e.fullMiter})[0]
-	e.stats.MiterCopies += 1 << uint(k)
-	if quant == aig.ConstFalse {
-		return true, nil
+	e.stats.QBFCopies = r.Copies
+	e.moves = r.Moves
+	if r.Holds {
+		e.logf("infeasible: input witness found for ∃x∀t M(t,x)")
 	}
-	s := e.newSolver()
-	s.AddClause(cnf.NewEncoder(s, e.w).Lit(quant))
-	e.stats.SATCalls++
-	switch s.Solve() {
-	case sat.Sat:
-		return false, nil
-	case sat.Unsat:
-		return true, nil
-	case sat.Unknown:
-		// Budget exhausted or interrupted: per §3.2, guess feasible
-		// and let final verification vet the optimistic answer.
-		e.logf("feasibility SAT gave up; assuming feasible")
-		return true, nil
-	default:
-		return true, nil
-	}
+	return !r.Holds
 }
 
 // quantAssignments chooses the cofactor assignments used to

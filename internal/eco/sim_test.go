@@ -20,9 +20,7 @@ func TestSimSerialReproducible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Verified {
-					t.Fatal("not verified")
-				}
+				tc.check(t, res)
 				snaps = append(snaps, snapshotResult(res))
 			}
 			if snaps[0] != snaps[1] {

@@ -161,9 +161,7 @@ func (e *engine) cegarMinPatch(i int, m0 aig.Lit) error {
 			nodeEquiv[n] = equiv{name: d.name, cost: d.cost, compl: d.edge.Compl()}
 		}
 	}
-	if e.opt.FunctionalMatch {
-		e.addFunctionalEquivs(cone, nodeEquiv)
-	}
+	e.addFunctionalEquivs(cone, nodeEquiv)
 
 	inCone := make(map[int]int, len(cone)) // w node -> flow index
 	for idx, n := range cone {

@@ -7,7 +7,8 @@ import (
 // TestFunctionalMatchFindsNonStructuralEquiv builds an instance where
 // the cheap equivalent of the patch logic is computed through a
 // redundant double-XOR, so it does NOT share AIG nodes with the patch
-// cone; only the functional (simulation + SAT) matcher can find it.
+// cone; only CEGAR_min's functional (simulation + SAT) matcher can
+// find it.
 func TestFunctionalMatchFindsNonStructuralEquiv(t *testing.T) {
 	impl := `
 module m (a, b, c, f, g2);
@@ -40,33 +41,21 @@ endmodule`
 		"w1": 40, "w2": 45, "wAlias": 1, "f": 99, "g2": 99,
 	}
 
-	solve := func(functional bool) *Result {
-		inst := mustInstance(t, impl, spec, costs)
-		opt := DefaultOptions()
-		opt.ForceStructural = true
-		opt.CEGARMin = true
-		opt.FunctionalMatch = functional
-		res, err := Solve(inst, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Verified {
-			t.Fatalf("functional=%v: not verified", functional)
-		}
-		return res
+	inst := mustInstance(t, impl, spec, costs)
+	opt := DefaultOptions()
+	opt.ForceStructural = true
+	res, err := Solve(inst, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	plain := solve(false)
-	fn := solve(true)
-	if fn.TotalCost >= plain.TotalCost {
-		t.Fatalf("functional matching did not help: %d vs %d (support %v vs %v)",
-			fn.TotalCost, plain.TotalCost, fn.Patches[0].Support, plain.Patches[0].Support)
+	if !res.Verified {
+		t.Fatal("not verified")
 	}
-	// The functional run should discover the cost-1 alias for the
-	// b&c part of the cone: cost a(50) + wAlias(1).
-	if fn.TotalCost > 51 {
-		t.Fatalf("functional cost %d, expected 51 via wAlias (support %v)",
-			fn.TotalCost, fn.Patches[0].Support)
+	// CEGAR_min's functional matching should discover the cost-1
+	// alias for the b&c part of the cone: cost a(50) + wAlias(1).
+	if res.TotalCost > 51 {
+		t.Fatalf("cost %d, expected 51 via wAlias (support %v)",
+			res.TotalCost, res.Patches[0].Support)
 	}
 }
 

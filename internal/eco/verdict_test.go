@@ -100,12 +100,11 @@ func bruteFeasible(t *testing.T, inst *Instance) bool {
 // TestFeasibilityVerdictBruteForce checks the engine's verdict on
 // expression (1) against enumeration on small random instances, most
 // of them infeasible, under every support algorithm, with and without
-// the forced structural path and the 2QBF check. The default
-// MaxQuantExpand takes the lazy path (the verified patch certifies
-// feasibility; the check runs only after a failed verification);
-// MaxQuantExpand 1 on three targets runs the check first. A feasible
-// instance must come back verified, an infeasible one with no patches
-// and no error.
+// the forced structural path. The default MaxQuantExpand takes the
+// lazy path (the verified patch certifies feasibility; the check runs
+// only after a failed verification); MaxQuantExpand 1 on three
+// targets runs the check first. A feasible instance must come back
+// verified, an infeasible one with no patches and no error.
 func TestFeasibilityVerdictBruteForce(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -131,35 +130,32 @@ func TestFeasibilityVerdictBruteForce(t *testing.T) {
 		}
 		for _, algo := range []SupportAlgo{SupportAnalyzeFinal, SupportMinimize, SupportExact} {
 			for _, structural := range []bool{false, true} {
-				for _, useQBF := range []bool{false, true} {
-					for _, expand := range expands {
-						opt := DefaultOptions()
-						opt.Support = algo
-						opt.ForceStructural = structural
-						opt.UseQBF = useQBF
-						opt.MaxQuantExpand = expand
-						name := fmt.Sprintf("iter %d (%d targets) %v structural=%v qbf=%v expand=%d",
-							iter, nT, algo, structural, useQBF, expand)
-						res, err := Solve(inst, opt)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+				for _, expand := range expands {
+					opt := DefaultOptions()
+					opt.Support = algo
+					opt.ForceStructural = structural
+					opt.MaxQuantExpand = expand
+					name := fmt.Sprintf("iter %d (%d targets) %v structural=%v expand=%d",
+						iter, nT, algo, structural, expand)
+					res, err := Solve(inst, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Feasible != want || res.TimedOut {
+						t.Fatalf("%s: feasible=%v timedOut=%v, brute force says %v",
+							name, res.Feasible, res.TimedOut, want)
+					}
+					if !want {
+						if len(res.Patches) != 0 || res.Patch != nil {
+							t.Fatalf("%s: infeasible result carries %d patches", name, len(res.Patches))
 						}
-						if res.Feasible != want || res.TimedOut {
-							t.Fatalf("%s: feasible=%v timedOut=%v, brute force says %v",
-								name, res.Feasible, res.TimedOut, want)
-						}
-						if !want {
-							if len(res.Patches) != 0 || res.Patch != nil {
-								t.Fatalf("%s: infeasible result carries %d patches", name, len(res.Patches))
-							}
-							continue
-						}
-						if !res.Verified {
-							t.Fatalf("%s: feasible instance not verified", name)
-						}
-						if ok, err := VerifyPatch(inst, res.Patch); err != nil || !ok {
-							t.Fatalf("%s: independent check rejected the patch (ok=%v err=%v)", name, ok, err)
-						}
+						continue
+					}
+					if !res.Verified {
+						t.Fatalf("%s: feasible instance not verified", name)
+					}
+					if ok, err := VerifyPatch(inst, res.Patch); err != nil || !ok {
+						t.Fatalf("%s: independent check rejected the patch (ok=%v err=%v)", name, ok, err)
 					}
 				}
 			}

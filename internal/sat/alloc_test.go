@@ -56,7 +56,7 @@ func TestReserveSameResult(t *testing.T) {
 				lits += len(c)
 			}
 			words := lits + len(clauses)*claLits
-			plain := loadCorpusSolver(t, path, DefaultConfig(), false)
+			plain := loadCorpusSolver(t, path, false)
 			reserved := New()
 			reserved.Reserve(nVars, len(clauses), lits)
 			f, err := os.Open(path)

@@ -1,123 +1,37 @@
 package sat
 
-// RestartPolicy selects the solver's restart strategy.
-type RestartPolicy uint8
-
+// Search heuristics, Glucose-style: restarts driven by the fast/slow
+// LBD comparison with trail-size blocking, and a two-tier learnt
+// database.
 const (
-	// RestartGlucose drives restarts with the Glucose fast/slow
-	// comparison: restart when the average LBD of the last LBDWindow
-	// conflicts exceeds RestartMargin times the all-time average,
-	// with trail-size blocking to protect runs that are close to a
-	// model. This is the default.
-	RestartGlucose RestartPolicy = iota
-	// RestartLuby restarts on the Luby sequence scaled by LubyBase
-	// (the pre-Glucose MiniSat behavior), kept as a fallback knob.
-	RestartLuby
+	// coreLBD is the LBD cut of the core learnt tier: clauses learnt
+	// with LBD <= coreLBD are kept forever; the rest live in the local
+	// tier and are subject to eviction.
+	coreLBD = 3
+	// firstReduce is the local-tier size that triggers the first
+	// learnt-DB reduction; reduceInc is added after each reduction.
+	firstReduce = 2000
+	reduceInc   = 300
+
+	// restartMargin is the Glucose K: restart when the average LBD of
+	// the last lbdWindow conflicts times restartMargin exceeds the
+	// all-time average.
+	restartMargin = 0.8
+	// blockMargin is the Glucose R: delay a pending restart when the
+	// trail is blockMargin times longer than its recent average (the
+	// search is probably digging toward a model).
+	blockMargin = 1.4
+	// lbdWindow and trailWindow size the two moving averages.
+	lbdWindow   = 50
+	trailWindow = 5000
+	// blockMinConflicts disables restart blocking until this many
+	// conflicts have accumulated.
+	blockMinConflicts = 10000
+
+	// varDecay and clauseDecay are the VSIDS decay factors.
+	varDecay    = 0.95
+	clauseDecay = 0.999
 )
-
-func (p RestartPolicy) String() string {
-	if p == RestartLuby {
-		return "luby"
-	}
-	return "glucose"
-}
-
-// Config tunes the solver's search heuristics. The zero value is not
-// meaningful; start from DefaultConfig. All knobs have safe defaults
-// applied by NewWithConfig, so partially filled configs work.
-type Config struct {
-	// Restart selects the restart strategy.
-	Restart RestartPolicy
-	// LubyBase is the conflict-count unit of the Luby sequence
-	// (RestartLuby only). Default 100.
-	LubyBase int
-
-	// CoreLBD is the LBD cut of the core learnt tier: clauses learnt
-	// with LBD <= CoreLBD are kept forever; the rest live in the
-	// local tier and are subject to eviction. Default 3.
-	CoreLBD uint32
-	// FirstReduce is the local-tier size that triggers the first
-	// learnt-DB reduction; ReduceInc is added after each reduction.
-	// Defaults 2000 and 300.
-	FirstReduce int
-	ReduceInc   int
-
-	// RestartMargin is the Glucose K: restart when
-	// recentAvgLBD * RestartMargin > globalAvgLBD. Default 0.8.
-	RestartMargin float64
-	// BlockMargin is the Glucose R: delay a pending restart when the
-	// trail is BlockMargin times longer than its recent average
-	// (the search is probably digging toward a model). Default 1.4.
-	BlockMargin float64
-	// LBDWindow and TrailWindow size the two moving averages.
-	// Defaults 50 and 5000.
-	LBDWindow   int
-	TrailWindow int
-	// BlockMinConflicts disables restart blocking until this many
-	// conflicts have accumulated. Default 10000.
-	BlockMinConflicts int64
-
-	// VarDecay and ClauseDecay are the VSIDS decay factors.
-	// Defaults 0.95 and 0.999.
-	VarDecay    float64
-	ClauseDecay float64
-}
-
-// DefaultConfig returns the Glucose-style defaults.
-func DefaultConfig() Config {
-	return Config{
-		Restart:           RestartGlucose,
-		LubyBase:          100,
-		CoreLBD:           3,
-		FirstReduce:       2000,
-		ReduceInc:         300,
-		RestartMargin:     0.8,
-		BlockMargin:       1.4,
-		LBDWindow:         50,
-		TrailWindow:       5000,
-		BlockMinConflicts: 10000,
-		VarDecay:          0.95,
-		ClauseDecay:       0.999,
-	}
-}
-
-// applyDefaults fills zero fields so hand-built configs stay valid.
-func (c *Config) applyDefaults() {
-	d := DefaultConfig()
-	if c.LubyBase <= 0 {
-		c.LubyBase = d.LubyBase
-	}
-	if c.CoreLBD == 0 {
-		c.CoreLBD = d.CoreLBD
-	}
-	if c.FirstReduce <= 0 {
-		c.FirstReduce = d.FirstReduce
-	}
-	if c.ReduceInc <= 0 {
-		c.ReduceInc = d.ReduceInc
-	}
-	if c.RestartMargin <= 0 {
-		c.RestartMargin = d.RestartMargin
-	}
-	if c.BlockMargin <= 0 {
-		c.BlockMargin = d.BlockMargin
-	}
-	if c.LBDWindow <= 0 {
-		c.LBDWindow = d.LBDWindow
-	}
-	if c.TrailWindow <= 0 {
-		c.TrailWindow = d.TrailWindow
-	}
-	if c.BlockMinConflicts <= 0 {
-		c.BlockMinConflicts = d.BlockMinConflicts
-	}
-	if c.VarDecay <= 0 {
-		c.VarDecay = d.VarDecay
-	}
-	if c.ClauseDecay <= 0 {
-		c.ClauseDecay = d.ClauseDecay
-	}
-}
 
 // boundedQueue is a fixed-capacity ring with a running sum, the
 // building block of the Glucose fast/slow restart averages.

@@ -50,9 +50,9 @@ func readDIMACSClauses(t *testing.T, path string) (nVars int, clauses [][]int) {
 	return nVars, clauses
 }
 
-func loadCorpusSolver(t *testing.T, path string, cfg Config, withProof bool) *Solver {
+func loadCorpusSolver(t *testing.T, path string, withProof bool) *Solver {
 	t.Helper()
-	s := NewWithConfig(cfg)
+	s := New()
 	if withProof {
 		s.StartProof()
 	}
@@ -197,10 +197,9 @@ func checkRefutation(t *testing.T, p *Proof) {
 }
 
 // TestDIMACSCorpus is the safety net for the clause-arena kernel: it
-// runs every corpus formula under the default (Glucose) and the
-// Luby-fallback configurations, requires identical verdicts, validates
-// models on SAT, checks refutation proofs on UNSAT, and cross-checks
-// small instances against brute force.
+// runs every corpus formula, validates models on SAT, checks
+// refutation proofs on UNSAT, and cross-checks small instances against
+// brute force.
 func TestDIMACSCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.cnf"))
 	if err != nil {
@@ -209,50 +208,31 @@ func TestDIMACSCorpus(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("empty corpus")
 	}
-	configs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"glucose", DefaultConfig()},
-		{"luby", Config{Restart: RestartLuby}},
-	}
 	for _, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			nVars, clauses := readDIMACSClauses(t, path)
-			verdicts := make(map[string]Status)
-			for _, tc := range configs {
-				s := loadCorpusSolver(t, path, tc.cfg, false)
-				st := s.Solve()
-				if st == Unknown {
-					t.Fatalf("%s: solver gave up without budget", tc.name)
-				}
-				verdicts[tc.name] = st
-				if st == Sat {
-					checkModel(t, s, clauses)
-				}
+			s := loadCorpusSolver(t, path, false)
+			st := s.Solve()
+			if st == Unknown {
+				t.Fatal("solver gave up without budget")
 			}
-			if verdicts["glucose"] != verdicts["luby"] {
-				t.Fatalf("verdict mismatch: glucose=%v luby=%v",
-					verdicts["glucose"], verdicts["luby"])
+			if st == Sat {
+				checkModel(t, s, clauses)
 			}
 			if nVars <= 16 {
-				want := liftStatus(bruteForceSAT(nVars, clauses))
-				if verdicts["glucose"] != want {
-					t.Fatalf("verdict %v disagrees with brute force %v",
-						verdicts["glucose"], want)
+				if want := liftStatus(bruteForceSAT(nVars, clauses)); st != want {
+					t.Fatalf("verdict %v disagrees with brute force %v", st, want)
 				}
 			}
-			if verdicts["glucose"] == Unsat {
-				// Re-solve with proof logging under both configs and
-				// check each refutation end to end.
-				for _, tc := range configs {
-					s := loadCorpusSolver(t, path, tc.cfg, true)
-					if st := s.Solve(); st != Unsat {
-						t.Fatalf("%s+proof: verdict %v, want Unsat", tc.name, st)
-					}
-					checkRefutation(t, s.Proof())
+			if st == Unsat {
+				// Re-solve with proof logging and check the refutation
+				// end to end.
+				ps := loadCorpusSolver(t, path, true)
+				if st := ps.Solve(); st != Unsat {
+					t.Fatalf("proof run: verdict %v, want Unsat", st)
 				}
+				checkRefutation(t, ps.Proof())
 			}
 		})
 	}

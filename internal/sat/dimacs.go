@@ -69,8 +69,8 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 }
 
 // ParseDIMACSInto reads a DIMACS CNF file into an existing solver, so
-// callers can pick the configuration (NewWithConfig) or enable proof
-// logging (StartProof) before loading the formula.
+// callers can reserve capacity (Reserve) or enable proof logging
+// (StartProof) before loading the formula.
 func ParseDIMACSInto(r io.Reader, s *Solver) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)

@@ -5,10 +5,11 @@
 // over the assumptions equivalent to MiniSat's analyze_final.
 //
 // The solver supports two-watched-literal propagation, VSIDS variable
-// activity with an indexed heap, phase saving, Luby restarts, first-UIP
-// clause learning with recursive clause minimization, activity-based
-// learnt-clause database reduction, and optional resolution-proof
-// logging used by the interpolation baseline (internal/itp).
+// activity with an indexed heap, phase saving, Glucose-style restarts,
+// first-UIP clause learning with recursive clause minimization, a
+// two-tier (LBD, then activity) learnt-clause database, and optional
+// resolution-proof logging used by the interpolation baseline
+// (internal/itp).
 package sat
 
 import "fmt"

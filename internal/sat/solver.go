@@ -64,12 +64,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Solver is an incremental CDCL SAT solver. The zero value is not
-// usable; create instances with New or NewWithConfig.
+// usable; create instances with New.
 type Solver struct {
 	ca      arena  // flat clause storage
 	clauses []CRef // problem clauses
 
-	// Learnt clauses live in two tiers: core (LBD <= cfg.CoreLBD,
+	// Learnt clauses live in two tiers: core (LBD <= coreLBD,
 	// kept forever) and local (evicted by LBD-then-activity).
 	coreLearnts []CRef
 	learnts     []CRef
@@ -92,8 +92,6 @@ type Solver struct {
 
 	clauseInc float64
 
-	cfg Config
-
 	okay bool // false once a top-level conflict proves UNSAT
 
 	model    []LBool
@@ -113,7 +111,6 @@ type Solver struct {
 	onLearnt func(lits []Lit, lbd uint32)
 
 	// Restart state.
-	lubyIdx    int
 	lbdQueue   boundedQueue // recent learnt LBDs (Glucose fast average)
 	trailQueue boundedQueue // recent trail sizes at conflicts (blocking)
 	sumLBD     float64      // all-time LBD sum (Glucose slow average)
@@ -134,32 +131,22 @@ type Solver struct {
 	zeroNeed map[Var]bool // scratch: level-0 literals analyze dropped
 }
 
-// New returns an empty solver with the default (Glucose-style)
-// configuration.
-func New() *Solver { return NewWithConfig(DefaultConfig()) }
-
-// NewWithConfig returns an empty solver with explicit heuristics
-// configuration. Zero fields of cfg take their defaults.
-func NewWithConfig(cfg Config) *Solver {
-	cfg.applyDefaults()
+// New returns an empty solver.
+func New() *Solver {
 	s := &Solver{
 		varInc:     1,
 		clauseInc:  1,
 		okay:       true,
 		confBudget: -1,
 		propBudget: -1,
-		cfg:        cfg,
-		reduceLim:  cfg.FirstReduce,
-		lbdQueue:   newBoundedQueue(cfg.LBDWindow),
-		trailQueue: newBoundedQueue(cfg.TrailWindow),
+		reduceLim:  firstReduce,
+		lbdQueue:   newBoundedQueue(lbdWindow),
+		trailQueue: newBoundedQueue(trailWindow),
 		lbdStamp:   make([]uint32, 1),
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
-
-// Config returns the heuristics configuration the solver runs with.
-func (s *Solver) Config() Config { return s.cfg }
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
@@ -571,7 +558,7 @@ func (s *Solver) varBumpActivity(v Var) {
 	s.order.decrease(v)
 }
 
-func (s *Solver) varDecayActivity() { s.varInc /= s.cfg.VarDecay }
+func (s *Solver) varDecayActivity() { s.varInc /= varDecay }
 
 func (s *Solver) claBumpActivity(c CRef) {
 	a := s.ca.act(c) + float32(s.clauseInc)
@@ -587,7 +574,7 @@ func (s *Solver) claBumpActivity(c CRef) {
 	}
 }
 
-func (s *Solver) claDecayActivity() { s.clauseInc /= s.cfg.ClauseDecay }
+func (s *Solver) claDecayActivity() { s.clauseInc /= clauseDecay }
 
 // computeLBD returns the literal block distance of lits: the number
 // of distinct non-zero decision levels among them, computed with a
@@ -830,7 +817,7 @@ func (s *Solver) reduceDB() {
 	// Promote improved clauses to the core tier.
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.ca.lbd(c) <= s.cfg.CoreLBD {
+		if s.ca.lbd(c) <= coreLBD {
 			s.coreLearnts = append(s.coreLearnts, c)
 			s.Stats.CorePromotions++
 			continue
@@ -852,7 +839,7 @@ func (s *Solver) reduceDB() {
 		j++
 	}
 	s.learnts = s.learnts[:j]
-	s.reduceLim += s.cfg.ReduceInc
+	s.reduceLim += reduceInc
 	s.maybeGC()
 }
 
@@ -933,42 +920,13 @@ func (s *Solver) relocate(to *arena, c CRef) CRef {
 	return nc
 }
 
-// luby computes the Luby restart sequence value for index i (1-based),
-// scaled by base.
-func luby(base float64, i int) float64 {
-	// Find the finite subsequence containing i and its position.
-	size, seq := 1, 0
-	for size < i+1 {
-		seq++
-		size = 2*size + 1
-	}
-	for size-1 != i {
-		size = (size - 1) / 2
-		seq--
-		i = i % size
-	}
-	p := 1.0
-	for k := 0; k < seq; k++ {
-		p *= 2
-	}
-	return base * p
-}
-
 // shouldRestart decides, at a conflict-free point, whether to end the
-// current search segment. nofConflicts >= 0 selects the Luby budget;
-// otherwise the Glucose fast/slow comparison applies.
-func (s *Solver) shouldRestart(conflicts, nofConflicts int64) bool {
-	if nofConflicts >= 0 {
-		if conflicts >= nofConflicts {
-			s.Stats.Restarts++
-			return true
-		}
-		return false
-	}
+// current search segment by the Glucose fast/slow comparison.
+func (s *Solver) shouldRestart() bool {
 	if !s.lbdQueue.full() || s.Stats.Conflicts == 0 {
 		return false
 	}
-	if s.lbdQueue.avg()*s.cfg.RestartMargin > s.sumLBD/float64(s.Stats.Conflicts) {
+	if s.lbdQueue.avg()*restartMargin > s.sumLBD/float64(s.Stats.Conflicts) {
 		s.lbdQueue.clear()
 		s.Stats.Restarts++
 		return true
@@ -978,8 +936,7 @@ func (s *Solver) shouldRestart(conflicts, nofConflicts int64) bool {
 
 // search runs CDCL until a model is found, the formula is refuted,
 // a restart fires, or the budget is exhausted.
-func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
-	conflicts := int64(0)
+func (s *Solver) search(assumptions []Lit) Status {
 	for {
 		if s.interrupted.Load() {
 			s.cancelUntil(0)
@@ -988,7 +945,6 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 		confl := s.propagate()
 		if confl != CRefUndef {
 			s.Stats.Conflicts++
-			conflicts++
 			if s.decisionLevel() == 0 {
 				if s.proof != nil {
 					s.addFinal(confl)
@@ -1000,10 +956,9 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			// recent average suggests the search is closing in on a
 			// model; postpone any pending restart.
 			s.trailQueue.push(uint32(len(s.trail)))
-			if s.cfg.Restart == RestartGlucose &&
-				s.Stats.Conflicts > s.cfg.BlockMinConflicts &&
+			if s.Stats.Conflicts > blockMinConflicts &&
 				s.lbdQueue.full() &&
-				float64(len(s.trail)) > s.cfg.BlockMargin*s.trailQueue.avg() {
+				float64(len(s.trail)) > blockMargin*s.trailQueue.avg() {
 				s.lbdQueue.clear()
 				s.Stats.BlockedRestarts++
 			}
@@ -1030,7 +985,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			continue
 		}
 		// No conflict.
-		if s.shouldRestart(conflicts, nofConflicts) {
+		if s.shouldRestart() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -1104,7 +1059,7 @@ func (s *Solver) recordLearnt(learnt []Lit, lbd uint32) {
 	}
 	c := s.ca.alloc(learnt, true, id)
 	s.ca.setLBD(c, lbd)
-	if lbd <= s.cfg.CoreLBD {
+	if lbd <= coreLBD {
 		s.coreLearnts = append(s.coreLearnts, c)
 	} else {
 		s.learnts = append(s.learnts, c)
@@ -1145,29 +1100,16 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}()
 
 	status := Unknown
-	s.lubyIdx = 0
 	for status == Unknown {
-		restartLen := int64(-1)
-		if s.cfg.Restart == RestartLuby {
-			restartLen = int64(luby(float64(s.cfg.LubyBase), s.lubyIdx))
-			s.lubyIdx++
-		}
 		s.Stats.Starts++
-		status = s.searchGuarded(restartLen, assumptions)
+		// An Unknown search has already dropped its decisions (a
+		// restart keeps the learnt clauses).
+		status = s.search(assumptions)
 		if (s.budgetExhausted() || s.interrupted.Load()) && status == Unknown {
 			break
 		}
 	}
 	return status
-}
-
-func (s *Solver) searchGuarded(nofConflicts int64, assumptions []Lit) Status {
-	st := s.search(nofConflicts, assumptions)
-	if st == Unknown {
-		// Restart: drop decisions but keep learnt clauses.
-		s.cancelUntil(0)
-	}
-	return st
 }
 
 // Simplify removes clauses satisfied at the top level. It may only be

@@ -396,15 +396,6 @@ func TestSimplify(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []float64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(1, i); got != w {
-			t.Fatalf("luby(1,%d) = %v, want %v", i, got, w)
-		}
-	}
-}
-
 func TestManyVars(t *testing.T) {
 	s := New()
 	ls := newVars(s, 2000)

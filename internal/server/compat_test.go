@@ -39,7 +39,8 @@ func postRaw(t *testing.T, c *Client, options string) JobStatus {
 }
 
 // TestRemovedPrepOptionIgnored pins wire compatibility for the
-// removed "preprocess", "rewrite", "sim" and "parallelism" job options:
+// removed "preprocess", "rewrite", "sim", "parallelism", "use_qbf" and
+// "functional_match" job options:
 // old clients and persisted requests still send them, so a raw
 // submission carrying them is accepted and solved with the fields
 // ignored — also next to patch "interp", a combination "preprocess"
@@ -68,6 +69,9 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 		{`{"parallelism": 2}`, eco.PatchCubeEnum},
 		{`{"parallelism": 0}`, eco.PatchCubeEnum},
 		{`{"parallelism": -1, "sim": true}`, eco.PatchCubeEnum},
+		{`{"use_qbf": false}`, eco.PatchCubeEnum},
+		{`{"use_qbf": true}`, eco.PatchCubeEnum},
+		{`{"functional_match": false}`, eco.PatchCubeEnum},
 	} {
 		st, err := c.Wait(ctx, postRaw(t, c, tc.options).ID, 2*time.Millisecond)
 		if err != nil {
@@ -82,10 +86,10 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 	}
 }
 
-// TestDedupNormalizesParallelism: the ignored "parallelism" field
-// does not enter the request digest, so submissions that differ only
-// in it (absent, 1, 4) run the identical solve, and the second and
-// third are served as dedups of the first.
+// TestDedupNormalizesParallelism: the ignored "parallelism",
+// "use_qbf" and "functional_match" fields do not enter the request
+// digest, so submissions that differ from {} only in them run the
+// identical solve, and each is served as a dedup of the first.
 func TestDedupNormalizesParallelism(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
 	ctx := context.Background()
@@ -96,7 +100,10 @@ func TestDedupNormalizesParallelism(t *testing.T) {
 	if first.DedupOf != "" {
 		t.Fatalf("first job served as dedup of %s, want a fresh solve", first.DedupOf)
 	}
-	for _, options := range []string{`{"parallelism": 1}`, `{"parallelism": 4}`} {
+	for _, options := range []string{
+		`{"parallelism": 1}`, `{"parallelism": 4}`,
+		`{"use_qbf": false}`, `{"functional_match": false}`,
+	} {
 		if st := postRaw(t, c, options); st.DedupOf != first.ID {
 			t.Fatalf("options %s: dedup_of = %q, want %q", options, st.DedupOf, first.ID)
 		}

@@ -74,8 +74,6 @@ type JobOptions struct {
 	Window          *bool   `json:"window,omitempty"`
 	LastGasp        *bool   `json:"last_gasp,omitempty"`
 	CEGARMin        *bool   `json:"cegar_min,omitempty"`
-	FunctionalMatch *bool   `json:"functional_match,omitempty"`
-	UseQBF          *bool   `json:"use_qbf,omitempty"`
 	ForceStructural bool    `json:"force_structural,omitempty"`
 	ConfBudget      int64   `json:"conf_budget,omitempty"`
 	TimeoutSec      float64 `json:"timeout_sec,omitempty"`
@@ -103,12 +101,6 @@ func (o JobOptions) Eco() (eco.Options, error) {
 	}
 	if o.CEGARMin != nil {
 		opt.CEGARMin = *o.CEGARMin
-	}
-	if o.FunctionalMatch != nil {
-		opt.FunctionalMatch = *o.FunctionalMatch
-	}
-	if o.UseQBF != nil {
-		opt.UseQBF = *o.UseQBF
 	}
 	opt.ForceStructural = o.ForceStructural
 	if o.ConfBudget < 0 {

@@ -6,9 +6,11 @@ set -eux
 go build ./...
 go vet ./...
 # perfbench is its own module, so the root build above does not see
-# it; build and vet it too, or an engine API change can break it
-# unnoticed.
-(cd perfbench && go build ./... && go vet ./...)
+# it; build, vet and test it too, or an engine API change can break it
+# unnoticed. Its tests (a tiny pass of every workload, and the sim
+# check rejecting a wrong patch) are the only check that the
+# benchmark's correctness gate still agrees with the engine.
+(cd perfbench && go build ./... && go vet ./... && go test ./...)
 # Every Go file must be gofmt-clean.
 test -z "$(gofmt -l .)"
 go test ./...
