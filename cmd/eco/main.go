@@ -49,7 +49,6 @@ func main() {
 		structural = flag.Bool("structural", false, "force the structural (§3.6) path")
 		noWindow   = flag.Bool("no-window", false, "disable structural pruning (§3.3)")
 		noCegar    = flag.Bool("no-cegarmin", false, "disable CEGAR_min for structural patches")
-		budget     = flag.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock deadline; on expiry before every target is patched the result carries no patch, after that it is unverified; feasibility is reported only if decided before expiry (0 = none)")
 		verbose    = flag.Bool("v", false, "log engine progress to stderr")
 		jsonOut    = flag.Bool("json", false, "emit a JSON report on stdout instead of text")
@@ -74,7 +73,6 @@ func main() {
 	opt.ForceStructural = *structural
 	opt.Window = !*noWindow
 	opt.CEGARMin = !*noCegar
-	opt.ConfBudget = *budget
 	opt.Timeout = *timeout
 	if *verbose {
 		opt.Log = os.Stderr

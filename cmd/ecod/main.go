@@ -16,7 +16,7 @@
 //
 //	ecod submit  -server URL (-dir DIR | -unit unitK [-scale N])
 //	             [-name S] [-support minimize|final|exact]
-//	             [-patch cubes|interp] [-budget N]
+//	             [-patch cubes|interp]
 //	             [-timeout 30s] [-wait] [-o patch.v]
 //	ecod status  -server URL ID
 //	ecod wait    -server URL ID [-poll 200ms] [-o patch.v]
@@ -172,7 +172,6 @@ func cmdSubmit(args []string) error {
 		name    = fs.String("name", "", "job name (default: instance name)")
 		support = fs.String("support", "", "support algorithm: final, minimize, exact")
 		patchA  = fs.String("patch", "", "patch computation: cubes, interp")
-		budget  = fs.Int64("budget", 0, "SAT conflict budget per call (0 = unlimited)")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 		wait    = fs.Bool("wait", false, "poll the job to completion and print the result")
 		out     = fs.String("o", "", "with -wait: write the patch netlist here ('-' for stdout)")
@@ -194,7 +193,6 @@ func cmdSubmit(args []string) error {
 	req.Options = server.JobOptions{
 		Support:    *support,
 		Patch:      *patchA,
-		ConfBudget: *budget,
 		TimeoutSec: timeout.Seconds(),
 	}
 

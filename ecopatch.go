@@ -19,8 +19,8 @@
 // the exact minimum-cost SAT_prune. Patch functions are computed by
 // prime-cube enumeration (§3.5) or Craig interpolation (the
 // prior-work baseline), with a structural cofactor fallback plus
-// max-flow CEGAR_min support reduction when SAT budgets run out
-// (§3.6). See DESIGN.md for the full system inventory.
+// max-flow CEGAR_min support reduction when a target's SAT work
+// allotment runs out (§3.6). See DESIGN.md for the full system inventory.
 package ecopatch
 
 import (

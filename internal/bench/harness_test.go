@@ -52,44 +52,6 @@ func TestRunTable1WithUnknownUnit(t *testing.T) {
 	}
 }
 
-// TestConfBudgetDegradesNotBogus arms a 1-conflict budget on every
-// (support, patch) configuration and checks the regression fixed in
-// this series: budget exhaustion must surface as the §3.6 structural
-// fallback — a verified patch — never as a silently-wrong SAT patch
-// or a hard error.
-func TestConfBudgetDegradesNotBogus(t *testing.T) {
-	cfg, err := ConfigByName(1, "unit7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	supports := []eco.SupportAlgo{eco.SupportAnalyzeFinal, eco.SupportMinimize, eco.SupportExact}
-	patches := []eco.PatchMethod{eco.PatchCubeEnum, eco.PatchInterpolation}
-	for _, sup := range supports {
-		for _, pm := range patches {
-			inst, err := Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := eco.DefaultOptions()
-			opt.Support = sup
-			opt.Patch = pm
-			opt.ConfBudget = 1
-			res, err := eco.Solve(inst, opt)
-			if err != nil {
-				t.Fatalf("%v/%v: budget must degrade, not error: %v", sup, pm, err)
-			}
-			for _, p := range res.Patches {
-				if !p.Structural {
-					t.Fatalf("%v/%v: target %s patched by SAT under a 1-conflict budget", sup, pm, p.Target)
-				}
-			}
-			if !res.Verified {
-				t.Fatalf("%v/%v: structural fallback result not verified", sup, pm)
-			}
-		}
-	}
-}
-
 // TestTimeoutPartialResult arms an already-expired deadline: the solve
 // must still return a (degraded, unverified) result with TimedOut set
 // rather than an error or a hang.
@@ -118,52 +80,63 @@ func TestTimeoutPartialResult(t *testing.T) {
 	}
 }
 
-// cancelOnTarget is an Options.Log writer that cancels the solve's
-// context when the first "target …" progress line appears, so a test
+// cancelAt is an Options.Log writer that cancels the solve's context
+// when the first progress line starting with prefix appears, so a test
 // can cut a run short at a fixed stage without racing a wall clock.
-type cancelOnTarget context.CancelFunc
+type cancelAt struct {
+	prefix string
+	cancel context.CancelFunc
+}
 
-func (c cancelOnTarget) Write(p []byte) (int, error) {
-	if bytes.HasPrefix(p, []byte("target ")) {
-		c()
+func (c cancelAt) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte(c.prefix)) {
+		c.cancel()
 	}
 	return len(p), nil
 }
 
-// TestDeadlineVerdict pins what a run cut short after its first target
-// reports about feasibility. unit9 has 4 targets, so no feasibility
-// check runs before the patches: the run ends with no patches and no
-// verdict, which the JSON forms omit. unit14 has 12, more than
-// MaxQuantExpand+1, so its check ran first and its verdict stands.
+// TestDeadlineVerdict pins what a run cut short reports about
+// feasibility. Cut after its first target: unit9 has 4 targets, so no
+// feasibility check runs before the patches, and the run ends with no
+// patches and no verdict, which the JSON forms omit; unit14 has 12,
+// more than MaxQuantExpand+1, so its check ran first and its verdict
+// stands. Cut as unit14's up-front check starts: the check never
+// finished, so there is no verdict.
 func TestDeadlineVerdict(t *testing.T) {
 	for _, c := range []struct {
-		unit, verdict string // verdict: Verdict(res) printed, "nil" for none
-	}{{"unit9", "nil"}, {"unit14", "true"}} {
+		unit, cancelAt string
+		verdict        string // Verdict(res) printed, "nil" for none
+	}{
+		{"unit9", "target ", "nil"},
+		{"unit14", "target ", "true"},
+		{"unit14", "feasibility: 2QBF check first", "nil"},
+	} {
+		name := c.unit + " cut at " + strconv.Quote(c.cancelAt)
 		inst, err := eco.LoadDir(filepath.Join("..", "eco", "testdata", c.unit))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := eco.DefaultOptions()
-		opt.Log = cancelOnTarget(cancel)
+		opt.Log = cancelAt{c.cancelAt, cancel}
 		res, err := eco.SolveContext(ctx, inst, opt)
 		cancel()
 		if err != nil {
-			t.Fatalf("%s: %v", c.unit, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !res.TimedOut || len(res.Patches) != 0 || res.Verified {
 			t.Fatalf("%s: timedOut=%v patches=%d verified=%v, want true, 0, false",
-				c.unit, res.TimedOut, len(res.Patches), res.Verified)
+				name, res.TimedOut, len(res.Patches), res.Verified)
 		}
 		if want := c.verdict == "true"; res.Feasible != want {
-			t.Fatalf("%s: feasible=%v, want %v", c.unit, res.Feasible, want)
+			t.Fatalf("%s: feasible=%v, want %v", name, res.Feasible, want)
 		}
 		got := "nil"
 		if v := Verdict(res); v != nil {
 			got = strconv.FormatBool(*v)
 		}
 		if got != c.verdict {
-			t.Fatalf("%s: Verdict = %s, want %s", c.unit, got, c.verdict)
+			t.Fatalf("%s: Verdict = %s, want %s", name, got, c.verdict)
 		}
 	}
 }

@@ -166,7 +166,7 @@ var benchSink uint64
 // bytes of canonical signatures.
 func BenchmarkSweepRefine(b *testing.B) {
 	g := denseXorGraph(150)
-	opt := SweepOptions{SimRounds: 1, ConfBudget: 20, MaxCandidates: 2, Seed: 1}
+	opt := SweepOptions{SimRounds: 1, MaxConflicts: 20, MaxCandidates: 2, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Sweep(g, opt)

@@ -20,12 +20,12 @@ var ErrGaveUp = errors.New("cec: solver gave up")
 
 // CheckOptions tunes a single equivalence check.
 type CheckOptions struct {
-	// ConfBudget bounds SAT conflicts (<=0 means unlimited); an
+	// MaxConflicts bounds SAT conflicts (<=0 means unlimited); an
 	// exceeded budget surfaces as ErrGaveUp. An unbudgeted check must
 	// reach a verdict, so it fraigs the miter first (Sweep over the
 	// differing cones) and solves only the pairs the sweep could not
 	// merge; a budgeted probe solves directly.
-	ConfBudget int64
+	MaxConflicts int64
 	// OnSolver, when non-nil, observes every SAT solver the check
 	// creates, so callers can Interrupt a long-running check from
 	// another goroutine.
@@ -46,7 +46,7 @@ type Result struct {
 
 // CheckAIGs decides whether two AIGs with identical PI/PO counts are
 // combinationally equivalent. PIs are matched by position. The miter
-// is fraiged before the final SAT query (see CheckOptions.ConfBudget).
+// is fraiged before the final SAT query (see CheckOptions.MaxConflicts).
 func CheckAIGs(g1, g2 *aig.AIG) (Result, error) {
 	if g1.NumPIs() != g2.NumPIs() {
 		return Result{}, fmt.Errorf("cec: PI count mismatch: %d vs %d", g1.NumPIs(), g2.NumPIs())
@@ -100,7 +100,7 @@ func checkPairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, opt CheckOptions) (
 		return Result{Equivalent: true}, nil
 	}
 	var swept int64
-	if opt.ConfBudget <= 0 {
+	if opt.MaxConflicts <= 0 {
 		var st sweepStats
 		m, pis, t1, t2, st = sweepMiter(m, t1, t2, diff, opt.OnSolver)
 		swept = st.conflicts
@@ -218,8 +218,8 @@ func encodePairDiff(s *sat.Solver, m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, 
 // or interrupted) is no verdict either way.
 func solvePairs(m *aig.AIG, pis []aig.Lit, t1, t2 []aig.Lit, diff []int, opt CheckOptions) (Result, error) {
 	s := sat.New()
-	if opt.ConfBudget > 0 {
-		s.SetConfBudget(opt.ConfBudget)
+	if opt.MaxConflicts > 0 {
+		s.SetConfBudget(opt.MaxConflicts)
 	}
 	if opt.OnSolver != nil {
 		opt.OnSolver(s)

@@ -14,9 +14,9 @@ type SweepOptions struct {
 	// SimRounds is the number of 64-pattern random simulation rounds
 	// used to build the initial candidate equivalence classes.
 	SimRounds int
-	// ConfBudget bounds SAT conflicts per equivalence query; proofs
+	// MaxConflicts bounds SAT conflicts per equivalence query; proofs
 	// that exceed it leave the pair unmerged (sound, just weaker).
-	ConfBudget int64
+	MaxConflicts int64
 	// MaxCandidates bounds how many same-class representatives each
 	// node is compared against.
 	MaxCandidates int
@@ -30,7 +30,7 @@ type SweepOptions struct {
 
 // DefaultSweepOptions returns sensible defaults.
 func DefaultSweepOptions() SweepOptions {
-	return SweepOptions{SimRounds: 8, ConfBudget: 2000, MaxCandidates: 4, Seed: 1}
+	return SweepOptions{SimRounds: 8, MaxConflicts: 2000, MaxCandidates: 4, Seed: 1}
 }
 
 // PairChecker proves pointwise equivalences between edges of one AIG
@@ -48,12 +48,12 @@ type PairChecker struct {
 
 // NewPairChecker builds a checker over g. The graph may keep growing
 // (new nodes are encoded on demand) as long as PIs are added before
-// any pair over them is checked. opt.ConfBudget bounds conflicts per
+// any pair over them is checked. opt.MaxConflicts bounds conflicts per
 // query; opt.OnSolver observes the one solver for interruption.
 func NewPairChecker(g *aig.AIG, opt CheckOptions) *PairChecker {
 	s := sat.New()
-	if opt.ConfBudget > 0 {
-		s.SetConfBudget(opt.ConfBudget)
+	if opt.MaxConflicts > 0 {
+		s.SetConfBudget(opt.MaxConflicts)
 	}
 	if opt.OnSolver != nil {
 		opt.OnSolver(s)
@@ -177,7 +177,7 @@ func sweep(g *aig.AIG, opt SweepOptions) (*aig.AIG, sweepStats) {
 	sameCanonSig := func(a, b int) bool { return sim.CanonEqual(sigs[a], sigs[b]) }
 
 	ng := aig.New()
-	checker := NewPairChecker(ng, CheckOptions{ConfBudget: opt.ConfBudget, OnSolver: opt.OnSolver})
+	checker := NewPairChecker(ng, CheckOptions{MaxConflicts: opt.MaxConflicts, OnSolver: opt.OnSolver})
 
 	mapped := make([]aig.Lit, g.NumNodes())
 	mapped[0] = aig.ConstFalse

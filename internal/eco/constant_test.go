@@ -36,7 +36,7 @@ func TestConstantTargetsMatchPipeline(t *testing.T) {
 			if err := e.setup(); err != nil {
 				t.Fatal(err)
 			}
-			if !e.checkFeasible() {
+			if feasible, _ := e.checkFeasible(); !feasible {
 				t.Fatal("infeasible")
 			}
 			e.rectifyAllInit()

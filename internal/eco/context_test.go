@@ -2,6 +2,7 @@ package eco
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -38,23 +39,26 @@ func TestSolveContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveContextCancelSkipsStructuralFallback cancels while the SAT
-// path is being forced to fail (1-conflict budget): rectifyOne must
-// not fall back to a structural patch on a cancelled run.
+// TestSolveContextCancelSkipsStructuralFallback cancels a run and
+// interrupts its solvers, as the deadline watcher does, before the
+// target's pipeline: the interrupted SAT calls answer Unknown, which
+// rectifyOne must report as errCancelled, without building the
+// structural fallback nobody will read.
 func TestSolveContextCancelSkipsStructuralFallback(t *testing.T) {
 	inst := mustInstance(t, implAndTarget, specAndOr, nil)
-	opt := DefaultOptions()
-	opt.ConfBudget = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SolveContext(ctx, inst, opt)
-	if err != nil {
-		t.Fatalf("cancelled solve must return a partial result, got error: %v", err)
+	e := &engine{inst: inst, opt: DefaultOptions(), ctx: ctx, res: &Result{}}
+	if err := e.setup(); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range res.Patches {
-		if p.Structural {
-			t.Fatalf("target %s got a structural fallback patch on a cancelled run", p.Target)
-		}
+	e.rectifyAllInit()
+	e.group.interruptAll()
+	if err := e.rectifyOne(0); !errors.Is(err, errCancelled) {
+		t.Fatalf("rectifyOne on a cancelled run: err = %v, want errCancelled", err)
+	}
+	if e.stats.StructuralFixes != 0 || e.patchAIGs[0] != nil {
+		t.Fatalf("cancelled run built a patch (structural fixes %d)", e.stats.StructuralFixes)
 	}
 }
 
@@ -101,7 +105,7 @@ endmodule`, nil)
 	if err := e.setup(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.checkFeasible() {
+	if feasible, _ := e.checkFeasible(); !feasible {
 		t.Fatal("infeasible")
 	}
 	if err := e.rectifyAll(false); err != nil {

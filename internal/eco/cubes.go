@@ -69,7 +69,7 @@ func (e *engine) enumerateCubes(s *sat.Solver, r1 sat.Lit, m1 aig.Lit,
 		case sat.Unsat:
 			return sop, nil
 		case sat.Unknown:
-			return nil, errBudget
+			return nil, errCancelled
 		}
 		// Read the divisor minterm of the onset point.
 		cubeLits := make([]sat.Lit, len(selected))

@@ -39,20 +39,43 @@ and (f, a, w1);
 not (g2, c);
 endmodule`
 
-// solveCase is one instance with the options to solve it under.
+// solveCase is one instance with the options to solve it under. A
+// nonzero patchAllot lowers the work meter's patch allotment for the
+// solve, so that some target must take the structural fallback.
 type solveCase struct {
 	inst       *Instance
 	opt        Options
 	infeasible bool
+	patchAllot int64
+}
+
+// solve runs tc and checks its outcome.
+func (tc solveCase) solve(t *testing.T) *Result {
+	t.Helper()
+	if tc.patchAllot > 0 {
+		saved := stageAllot
+		defer func() { stageAllot = saved }()
+		stageAllot.patch = tc.patchAllot
+	}
+	res, err := Solve(tc.inst, tc.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.check(t, res)
+	return res
 }
 
 // check fails t unless res is the outcome tc expects: a verified patch,
-// or for an infeasible instance the verdict with no patches.
+// with a structural one under a lowered patch allotment, or for an
+// infeasible instance the verdict with no patches.
 func (tc solveCase) check(t *testing.T, res *Result) {
 	t.Helper()
 	if !tc.infeasible {
 		if !res.Verified {
 			t.Fatal("not verified")
+		}
+		if tc.patchAllot > 0 && res.Stats.StructuralFixes == 0 {
+			t.Fatal("no structural patch under a lowered patch allotment")
 		}
 		return
 	}
@@ -71,21 +94,19 @@ func (tc solveCase) check(t *testing.T, res *Result) {
 // after the Theorem-1 sequence), and unit14. unit14 mixes 9 constant
 // targets with 3 that run the two-copy pipeline, so its runs exercise
 // the one-copy solver shared across the target sequence; under a
-// 100-conflict budget one constant check comes back Unknown and some
-// targets fall back to structural patches, so the shared solver's
-// carried-over state must repeat exactly from run to run.
+// 1-tick patch allotment the 3 pipeline targets take structural
+// patches, so the shared solver's carried-over state must repeat
+// exactly across SAT and structural targets from run to run.
 func parallelCases(t *testing.T) map[string]solveCase {
 	t.Helper()
 	base := DefaultOptions()
-	budget := base
-	budget.ConfBudget = 100
 	unit14 := loadTestdata(t, "unit14")
 	return map[string]solveCase{
 		"single":           {inst: mustInstance(t, implAndTarget, specAndOr, nil), opt: base},
 		"multi":            {inst: mustInstance(t, implMultiTarget, specMultiTarget, nil), opt: base},
 		"multi-infeasible": {inst: mustInstance(t, implMultiTarget, specMultiInfeasible, nil), opt: base, infeasible: true},
 		"unit14":           {inst: unit14, opt: base},
-		"unit14-budget":    {inst: unit14, opt: budget},
+		"unit14-budget":    {inst: unit14, opt: base, patchAllot: 1},
 	}
 }
 
@@ -107,11 +128,7 @@ func TestParallelismOneBitReproducible(t *testing.T) {
 			var snaps []string
 			for _, procs := range []int{1, 4, 1} {
 				runtime.GOMAXPROCS(procs)
-				res, err := Solve(tc.inst, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tc.check(t, res)
+				res := tc.solve(t)
 				st := res.Stats
 				snaps = append(snaps, fmt.Sprintf("%s\nsat_calls=%d solver=%+v cubes=%d",
 					snapshotResult(res), st.SATCalls, st.Solver, st.CubesEnumerated))
@@ -130,15 +147,8 @@ func TestParallelismOneBitReproducible(t *testing.T) {
 // patch passes the independent netlist-splice check.
 func TestInterpolationVerifies(t *testing.T) {
 	tc := parallelCases(t)["multi"]
-	opt := tc.opt
-	opt.Patch = PatchInterpolation
-	res, err := Solve(tc.inst, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatal("interpolation patch not verified")
-	}
+	tc.opt.Patch = PatchInterpolation
+	res := tc.solve(t)
 	ok, err := VerifyPatch(tc.inst, res.Patch)
 	if err != nil || !ok {
 		t.Fatalf("interpolation patch failed VerifyPatch: ok=%v err=%v", ok, err)

@@ -85,10 +85,6 @@ type Options struct {
 	// exercising the timeout path of §3.6 deterministically.
 	ForceStructural bool
 
-	// ConfBudget caps SAT conflicts per call; exceeding it triggers
-	// the structural fallback, like the paper's timeouts. <=0 means
-	// unlimited.
-	ConfBudget int64
 	// MaxQuantExpand caps the number of remaining targets quantified
 	// by full 2^r cofactor expansion; beyond it the engine uses the
 	// QBF countermoves (move-guided quantification). Default 8.
@@ -131,8 +127,9 @@ func DefaultOptions() Options {
 // only cuts a solve short (the digest hashes Timeout on its own), and
 // the others never change a result. A new field that can change a
 // result belongs here. The word layout is part of the digest, so
-// changing it changes every digest: the retired MaxCubes and
-// ExactTimeout options keep their words, fixed at the old defaults.
+// changing it changes every digest: the retired conflict budget (word
+// 3, fixed at 0), MaxCubes and ExactTimeout options keep their words,
+// fixed at the old defaults.
 func (o Options) AppendKey(buf []uint64) []uint64 {
 	// Bits 3 and 4 held the retired functional-matching and 2QBF-choice
 	// flags; they stay set, as at their old defaults.
@@ -144,7 +141,7 @@ func (o Options) AppendKey(buf []uint64) []uint64 {
 	}
 	return append(buf,
 		uint64(o.Support), uint64(o.Patch), flags,
-		uint64(o.ConfBudget), 20000, uint64(o.MaxQuantExpand),
+		0, 20000, uint64(o.MaxQuantExpand),
 		uint64(30*time.Second))
 }
 
@@ -320,13 +317,11 @@ func (e *engine) logf(format string, args ...any) {
 	}
 }
 
-// newSolver creates a SAT solver with the configured conflict budget
-// and registers it for deadline interrupts.
+// newSolver creates a SAT solver registered for deadline interrupts.
+// No engine solver has a conflict cap, so Unknown from one means the
+// run was cancelled.
 func (e *engine) newSolver() *sat.Solver {
 	s := sat.New()
-	if e.opt.ConfBudget > 0 {
-		s.SetConfBudget(e.opt.ConfBudget)
-	}
 	e.group.add(s)
 	return s
 }
@@ -351,8 +346,12 @@ func Solve(inst *Instance, opt Options) (*Result, error) {
 // Otherwise the Theorem-1 sequence and the final verification run at
 // once: a verified patch certifies feasibility, and only a failed
 // verification runs the check. An infeasible verdict returns no
-// patches; a feasible one keeps the unverified result. A run cut short
-// before the verdict has Feasible false and TimedOut set.
+// patches; a feasible one keeps the unverified result. Feasible is set
+// only from a finished check or a verified patch: a run cut short
+// before either has Feasible false and TimedOut set. A check that gives
+// up without a cancel (qbf's iteration cap) leaves the verified patch
+// to certify feasibility; if verification fails too, SolveContext
+// returns an error rather than a guess.
 func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, error) {
 	start := time.Now()
 	if err := inst.Check(); err != nil {
@@ -378,11 +377,14 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	// Countermoves guide quantification only when more than
 	// MaxQuantExpand other targets remain.
 	upFront := len(e.targets)-1 > opt.MaxQuantExpand
+	decided := false // the up-front check reached a verdict
 	if upFront {
 		e.logf("feasibility: 2QBF check first (%d targets exceed MaxQuantExpand+1 = %d)",
 			len(e.targets), opt.MaxQuantExpand+1)
-		e.res.Feasible = e.checkFeasible()
-		if !e.res.Feasible || e.cancelled() {
+		var feasible bool
+		feasible, decided = e.checkFeasible()
+		e.res.Feasible = feasible
+		if (decided && !feasible) || e.cancelled() {
 			return e.seal(ctx, start), nil
 		}
 	}
@@ -420,20 +422,35 @@ func SolveContext(ctx context.Context, inst *Instance, opt Options) (*Result, er
 	}
 	e.res.Verified = ok
 	switch {
-	case upFront: // the verdict is in
+	case decided: // the verdict is in
 	case ok:
 		e.logf("feasibility: certified by the verified patch")
 		e.res.Feasible = true
-	case !e.cancelled():
-		e.res.Feasible = e.checkFeasible()
-		e.logf("feasibility: checked after a failed verification: feasible=%v", e.res.Feasible)
-		if !e.res.Feasible {
+	case e.cancelled(): // no verdict
+	case upFront:
+		return nil, errUndecided
+	default:
+		feasible, decided := e.checkFeasible()
+		if !decided {
+			if !e.cancelled() {
+				return nil, errUndecided
+			}
+			break
+		}
+		e.res.Feasible = feasible
+		e.logf("feasibility: checked after a failed verification: feasible=%v", feasible)
+		if !feasible {
 			return e.seal(ctx, start), nil
 		}
 	}
 	e.finish()
 	return e.seal(ctx, start), nil
 }
+
+// errUndecided reports a solve that reached no feasibility verdict
+// without being cancelled: the 2QBF check gave up and the patch failed
+// verification.
+var errUndecided = errors.New("eco: feasibility undecided: the 2QBF check gave up and the patch failed verification")
 
 // cancelled reports whether the run's context is done. Checked at
 // stage boundaries: SAT calls are interrupted asynchronously by the

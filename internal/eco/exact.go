@@ -71,7 +71,7 @@ func (e *engine) exactSupport(s *sat.Solver, fixed []sat.Lit, divs []divisor,
 				sort.Ints(sel)
 				return sel, nil
 			case sat.Unknown:
-				return nil, errBudget
+				return nil, errCancelled
 			}
 			e.bankModel(s)
 		}

@@ -31,7 +31,7 @@ func TestExactSupportIsOptimalBruteForce(t *testing.T) {
 		if err := probe.setup(); err != nil {
 			t.Fatal(err)
 		}
-		if !probe.checkFeasible() || len(probe.targets) != 1 || len(probe.divisors) > 12 {
+		if feasible, _ := probe.checkFeasible(); !feasible || len(probe.targets) != 1 || len(probe.divisors) > 12 {
 			continue
 		}
 		probe.rectifyAllInit()

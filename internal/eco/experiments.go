@@ -31,7 +31,7 @@ func CompareMinimize(inst *Instance) (*MinimizeComparison, error) {
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
-	if !e.checkFeasible() {
+	if feasible, decided := e.checkFeasible(); decided && !feasible {
 		return nil, fmt.Errorf("eco: instance infeasible")
 	}
 	e.rectifyAllInit()

@@ -46,8 +46,7 @@ func (e *engine) interpolatePatch(m0, m1 aig.Lit, divs []divisor, selected []int
 		case sat.Sat:
 			return nil, fmt.Errorf("eco: interpolation instance unexpectedly SAT")
 		case sat.Unknown:
-			// Budget exhausted or interrupted mid-proof.
-			return nil, errBudget
+			return nil, errCancelled
 		case sat.Unsat:
 			// Expected: the refutation proof feeds the interpolant.
 		}

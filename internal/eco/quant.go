@@ -19,25 +19,26 @@ func (e *engine) selfPIMap() []aig.Lit {
 // SolveContext calls it before the Theorem-1 sequence only when its
 // countermoves (e.moves) will guide quantification, and otherwise only
 // after a failed verification, since a verified patch certifies
-// feasibility by itself. Per §3.2, a budget-exhausted check is treated
-// as "assume feasible" — the structural path plus final verification
-// covers the optimistic guess.
-func (e *engine) checkFeasible() bool {
+// feasibility by itself. decided is false when the check gave up, cut
+// short by a cancel or past qbf's iteration cap (at least 14 targets):
+// per §3.2 the engine then goes on as if feasible, and only a verified
+// patch can supply the verdict.
+func (e *engine) checkFeasible() (feasible, decided bool) {
+	if e.cancelled() { // stage boundary: a cancelled run starts no check
+		return false, false
+	}
 	defer e.group.release(e.group.mark())
-	r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{
-		ConfBudget: e.opt.ConfBudget,
-		OnSolver:   e.group.add,
-	})
+	r, err := qbf.Solve(e.w, e.fullMiter, e.xPIs, e.tPIs, qbf.Options{OnSolver: e.group.add})
 	if err != nil {
 		e.logf("feasibility qbf gave up (%v); assuming feasible", err)
-		return true
+		return false, false
 	}
 	e.stats.QBFCopies = r.Copies
 	e.moves = r.Moves
 	if r.Holds {
 		e.logf("infeasible: input witness found for ∃x∀t M(t,x)")
 	}
-	return !r.Holds
+	return !r.Holds, true
 }
 
 // quantAssignments chooses the cofactor assignments used to

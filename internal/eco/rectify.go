@@ -13,12 +13,14 @@ import (
 	"ecopatch/internal/synth"
 )
 
-// errBudget reports that a call's ConfBudget or a stage's work meter
+// errBudget reports that a stage's work-meter allotment (stageAllot)
 // ran out; the caller falls back, mirroring the paper's timeout path.
 var errBudget = errors.New("eco: SAT budget exhausted")
 
-// errCancelled reports that the run's context was cancelled between
-// pipeline stages; the engine seals a partial result instead of
+// errCancelled reports that the run's context was cancelled: between
+// pipeline stages, or mid-stage, where an interrupted SAT call answers
+// Unknown (no engine solver has a conflict cap, so Unknown means
+// nothing else). The engine seals a partial result instead of
 // treating it as a failure.
 var errCancelled = errors.New("eco: solve cancelled")
 
@@ -50,8 +52,9 @@ func (e *engine) rectifyAll(forceFullQuant bool) error {
 
 // rectifyOne computes the patch for target i: the constant check
 // first, then the SAT pipeline, with the structural method (§3.6) as
-// the fallback when the SAT path exhausts a budget or the divisors
-// cannot express a patch.
+// the fallback when the SAT path exhausts its work allotment or the
+// divisors cannot express a patch. A cancelled SAT path returns
+// errCancelled, which skips the fallback.
 func (e *engine) rectifyOne(i int) error {
 	defer e.group.release(e.group.mark())
 	m0, m1 := e.cofactorMiters(i)
@@ -66,12 +69,6 @@ func (e *engine) rectifyOne(i int) error {
 		return nil
 	}
 	if errors.Is(err, errBudget) || errors.Is(err, errInsufficient) {
-		// Stage boundary: when the SAT path died because the run was
-		// cancelled (not a mere budget expiry), the structural
-		// fallback is pure-CPU work nobody will read — skip it.
-		if e.cancelled() {
-			return errCancelled
-		}
 		e.logf("target %s: SAT path failed (%v); using structural patch", e.targets[i], err)
 		return e.structuralPatch(i, m0)
 	}
@@ -87,8 +84,8 @@ func (e *engine) rectifyOne(i int) error {
 // so the installed patch is the one the pipeline computes. Both
 // queries go to one single-copy encoding of the working AIG shared by
 // the whole target sequence, so learnt clauses carry over from target
-// to target. Sat on both cofactors, or Unknown from ConfBudget, is no
-// verdict: the caller runs the pipeline.
+// to target. Sat on both cofactors is no verdict: the caller runs the
+// pipeline.
 func (e *engine) constantTarget(i int, m0, m1 aig.Lit) (bool, error) {
 	if e.oneCopy == nil {
 		return false, nil
@@ -119,9 +116,7 @@ func (e *engine) constantTarget(i int, m0, m1 aig.Lit) (bool, error) {
 			e.stats.ConstantTargets++
 			return true, nil
 		case sat.Unknown:
-			if e.cancelled() {
-				return false, errCancelled
-			}
+			return false, errCancelled
 		}
 	}
 	return false, nil
@@ -172,10 +167,9 @@ func (e *engine) encodeExprTwo(s *sat.Solver, m0, m1 aig.Lit, divs []divisor) ex
 
 // satPatch runs the SAT-based flow for one target: the two-copy
 // extended miter of expression (2), support selection, and patch
-// function computation. A simulation-pruned divisor subset is
-// attempted first — UNSAT on a subset is a valid (cheaper to encode
-// and minimize) patch basis; only an insufficient subset falls back to
-// the full set, so budget expiry keeps its usual meaning.
+// function computation, over the simulation-pruned divisor subset when
+// pruning drops any: it is cheaper to encode and minimize, and it can
+// express a patch exactly when the full set can (see pruneDivisors).
 func (e *engine) satPatch(i int, m0, m1 aig.Lit) error {
 	divs := e.orderedDivisors()
 	if e.opt.Support == SupportAnalyzeFinal {
@@ -185,24 +179,21 @@ func (e *engine) satPatch(i int, m0, m1 aig.Lit) error {
 		divs = append([]divisor(nil), e.divisors...)
 		sort.Slice(divs, func(a, b int) bool { return divs[a].name < divs[b].name })
 	}
-	if pruned := e.pruneDivisors(i, divs); pruned != nil {
-		err := e.satPatchWith(i, m0, m1, pruned)
-		if err == nil {
-			e.stats.SimPruned += int64(len(divs) - len(pruned))
-			return nil
-		}
-		if !errors.Is(err, errInsufficient) {
-			return err
-		}
-		e.logf("target %s: pruned divisor set insufficient; retrying full set", e.targets[i])
+	pruned := e.pruneDivisors(i, divs)
+	if pruned == nil {
+		pruned = divs
 	}
-	return e.satPatchWith(i, m0, m1, divs)
+	err := e.satPatchWith(i, m0, m1, pruned)
+	if err == nil {
+		e.stats.SimPruned += int64(len(divs) - len(pruned))
+	}
+	return err
 }
 
 // satPatchWith is satPatch over one specific divisor set.
 func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 	// The model bank and PI captures are scoped to this encoding; they
-	// must not leak into the next attempt or window.
+	// must not leak into the next window.
 	defer func() {
 		e.winBank, e.winEqs, e.winPIs1, e.winPIs2 = nil, nil, nil, nil
 	}()
@@ -224,7 +215,7 @@ func (e *engine) satPatchWith(i int, m0, m1 aig.Lit, divs []divisor) error {
 		return errInsufficient
 	case sat.Unknown:
 		supportDone()
-		return errBudget
+		return errCancelled
 	}
 	r1, r2 := ec.r1, ec.r2
 	auxs, d1s, d2s := ec.auxs, ec.d1s, ec.d2s
@@ -497,7 +488,7 @@ func (e *engine) lastGasp(s *sat.Solver, fixed []sat.Lit, divs []divisor, auxs [
 				}
 			}
 			if st == sat.Unknown {
-				return selected, nil // keep what we have
+				return nil, errCancelled
 			}
 			if st == sat.Unsat {
 				inSel[j] = false

@@ -128,9 +128,11 @@ func (e *engine) capturePIs(enc *cnf.Encoder) []sat.Lit {
 // patch function space over the pruned set equals the full set's up to
 // cost-preserving substitution. A refuted candidate stays, and its
 // counterexample joins the pattern pool, sharpening later signatures.
-// Returns nil when the set is small or nothing was dropped; the caller
-// falls back to the full set when the pruned set proves insufficient,
-// so this is purely a filter.
+// A dropped divisor is constant or equal to a kept one, so two copies
+// that agree on the kept divisors agree on it too: expression (2) is
+// unsatisfiable over the pruned set exactly when it is over the full
+// set, and the caller never needs the full set back. Returns nil when
+// the set is small or nothing was dropped.
 //
 // All of one call's proofs run on a single incremental checker, so the
 // window's cones are encoded once and learnt clauses carry over from
@@ -165,8 +167,8 @@ func (e *engine) pruneDivisors(i int, divs []divisor) []divisor {
 	prove := func(a, b aig.Lit) bool {
 		if pc == nil {
 			pc = cec.NewPairChecker(e.w, cec.CheckOptions{
-				ConfBudget: simPruneProofBudget,
-				OnSolver:   e.group.add,
+				MaxConflicts: simPruneProofBudget,
+				OnSolver:     e.group.add,
 			})
 		}
 		equal, cex, err := pc.CheckPair(a, b)

@@ -16,11 +16,7 @@ func TestSimSerialReproducible(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var snaps []string
 			for run := 0; run < 2; run++ {
-				res, err := Solve(tc.inst, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tc.check(t, res)
+				res := tc.solve(t)
 				snaps = append(snaps, snapshotResult(res))
 			}
 			if snaps[0] != snaps[1] {

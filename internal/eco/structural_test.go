@@ -95,8 +95,9 @@ endmodule`
 }
 
 // TestBudgetTriggersStructuralFallback drives the engine's timeout
-// path end to end: a one-conflict budget forces every target through
-// §3.6, and the result must still verify.
+// path end to end: a one-tick patch allotment ends cube enumeration
+// for every target that reaches it, forcing the target through §3.6,
+// and the result must still verify.
 func TestBudgetTriggersStructuralFallback(t *testing.T) {
 	impl := `
 module m (a, b, c, f, g2);
@@ -116,9 +117,10 @@ and (w2, a, b);
 or  (g2, c, w2);
 endmodule`
 	inst := mustInstance(t, impl, spec, nil)
-	opt := DefaultOptions()
-	opt.ConfBudget = 1
-	res, err := Solve(inst, opt)
+	saved := stageAllot
+	defer func() { stageAllot = saved }()
+	stageAllot.patch = 1
+	res, err := Solve(inst, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ endmodule`
 		t.Fatal("budget fallback result not verified")
 	}
 	if res.Stats.StructuralFixes == 0 {
-		t.Fatal("expected structural fallbacks under a 1-conflict budget")
+		t.Fatal("expected structural fallbacks under a 1-tick patch allotment")
 	}
 }
 
@@ -167,5 +169,35 @@ endmodule`
 	}
 	if !res.Feasible || !res.Verified {
 		t.Fatalf("feasible=%v verified=%v", res.Feasible, res.Verified)
+	}
+}
+
+// TestPatchAllotDegradesNotBogus runs every support algorithm with
+// cube enumeration under a 1-tick patch allotment: the work meter must
+// hand each pipeline target to the §3.6 structural fallback, giving a
+// verified patch, never a silently wrong SAT patch or a hard error.
+// unit7's single target is not constant, so it reaches the meter.
+func TestPatchAllotDegradesNotBogus(t *testing.T) {
+	saved := stageAllot
+	defer func() { stageAllot = saved }()
+	stageAllot.support, stageAllot.patch = 1, 1
+	for _, sup := range []SupportAlgo{SupportAnalyzeFinal, SupportMinimize, SupportExact} {
+		opt := DefaultOptions()
+		opt.Support = sup
+		res, err := Solve(loadTestdata(t, "unit7"), opt)
+		if err != nil {
+			t.Fatalf("%v: the allotment must degrade, not error: %v", sup, err)
+		}
+		if len(res.Patches) == 0 {
+			t.Fatalf("%v: no patches", sup)
+		}
+		for _, p := range res.Patches {
+			if !p.Structural {
+				t.Fatalf("%v: target %s patched by SAT under a 1-tick allotment", sup, p.Target)
+			}
+		}
+		if !res.Verified {
+			t.Fatalf("%v: structural fallback result not verified", sup)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func (m *minimizer) solve(extra []sat.Lit) (sat.Status, error) {
 	}
 	st := m.s.Solve(assumps...)
 	if st == sat.Unknown {
-		return st, errBudget
+		return st, errCancelled
 	}
 	if st == sat.Sat && m.onSat != nil {
 		m.onSat()
@@ -142,7 +142,7 @@ func minimizeLinear(s *sat.Solver, fixed []sat.Lit, A []sat.Lit, calls *int) (in
 			A[kept] = A[i]
 			kept++
 		case sat.Unknown:
-			return 0, errBudget
+			return 0, errCancelled
 		}
 	}
 	return kept, nil

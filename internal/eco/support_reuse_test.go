@@ -9,8 +9,8 @@ import (
 
 // TestMinimizerInterruptedSolverReuse pins the scratch-solver reuse
 // contract of minimize_assumptions: on an interrupted solver every
-// query answers Unknown, which the minimizer must surface as errBudget
-// (not a wrong support), and after ClearInterrupt the same solver —
+// query answers Unknown, which the minimizer must surface as
+// errCancelled (not a wrong support), and after ClearInterrupt the same solver —
 // same clauses, same scratch buffers — must minimize correctly. The
 // engine reuses one solver across the expression-(2) check, both
 // minimization passes and last-gasp, so a stale interrupt here would
@@ -25,8 +25,8 @@ func TestMinimizerInterruptedSolverReuse(t *testing.T) {
 
 	s.Interrupt()
 	m := &minimizer{s: s}
-	if _, err := m.minimize([]sat.Lit{a1, a2}); !errors.Is(err, errBudget) {
-		t.Fatalf("interrupted minimize err = %v, want errBudget", err)
+	if _, err := m.minimize([]sat.Lit{a1, a2}); !errors.Is(err, errCancelled) {
+		t.Fatalf("interrupted minimize err = %v, want errCancelled", err)
 	}
 
 	s.ClearInterrupt()
@@ -42,8 +42,8 @@ func TestMinimizerInterruptedSolverReuse(t *testing.T) {
 
 	// minimizeLinear shares the same reuse contract.
 	s.Interrupt()
-	if _, err := minimizeLinear(s, nil, []sat.Lit{a1, a2}, nil); !errors.Is(err, errBudget) {
-		t.Fatalf("interrupted minimizeLinear err = %v, want errBudget", err)
+	if _, err := minimizeLinear(s, nil, []sat.Lit{a1, a2}, nil); !errors.Is(err, errCancelled) {
+		t.Fatalf("interrupted minimizeLinear err = %v, want errCancelled", err)
 	}
 	s.ClearInterrupt()
 	kept, err = minimizeLinear(s, nil, []sat.Lit{a1, a2}, nil)

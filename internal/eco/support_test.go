@@ -1,6 +1,7 @@
 package eco
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -143,32 +144,27 @@ func TestMinimizeEmptyAndSingleton(t *testing.T) {
 	}
 }
 
+// TestMinimizeBudgetPropagates interrupts the solver after the first
+// Sat answer, so a query deep in the bisection answers Unknown: the
+// minimizer must surface errCancelled from the recursion, never a
+// support.
 func TestMinimizeBudgetPropagates(t *testing.T) {
 	s := sat.New()
-	// A hard instance under a tiny budget must surface errBudget.
-	lit := make([][]sat.Lit, 9)
-	for p := range lit {
-		lit[p] = make([]sat.Lit, 8)
-		for h := range lit[p] {
-			lit[p][h] = sat.PosLit(s.NewVar())
-		}
-		s.AddClause(lit[p]...)
+	A := make([]sat.Lit, 4)
+	block := make([]sat.Lit, len(A))
+	for i := range A {
+		A[i] = sat.PosLit(s.NewVar())
+		block[i] = A[i].Not()
 	}
-	for h := 0; h < 8; h++ {
-		for p1 := 0; p1 < 9; p1++ {
-			for p2 := p1 + 1; p2 < 9; p2++ {
-				s.AddClause(lit[p1][h].Not(), lit[p2][h].Not())
-			}
-		}
+	// Only all four assumptions together are UNSAT.
+	s.AddClause(block...)
+	calls := 0
+	m := &minimizer{s: s, calls: &calls, onSat: s.Interrupt}
+	if _, err := m.minimize(A); !errors.Is(err, errCancelled) {
+		t.Fatalf("minimize err = %v, want errCancelled", err)
 	}
-	s.SetConfBudget(3)
-	var someAssumps []sat.Lit
-	for p := 0; p < 4; p++ {
-		someAssumps = append(someAssumps, lit[p][0].Not())
-	}
-	m := &minimizer{s: s}
-	if _, err := m.minimize(someAssumps); err == nil {
-		t.Fatal("expected budget error")
+	if calls < 2 {
+		t.Fatalf("%d solver queries; the interrupt must land after a Sat answer", calls)
 	}
 }
 

@@ -37,12 +37,13 @@ type Result struct {
 	Iterations int
 }
 
+// maxIterations bounds the CEGAR rounds of one Solve. Each round adds
+// a distinct countermove, so only formulas with at least 14 universal
+// variables can reach it.
+const maxIterations = 10000
+
 // Options controls the CEGAR loop.
 type Options struct {
-	// MaxIterations bounds CEGAR rounds (0 means 10000).
-	MaxIterations int
-	// ConfBudget bounds SAT conflicts per solver call (≤0 unlimited).
-	ConfBudget int64
 	// OnSolver, when non-nil, observes the SAT solvers the CEGAR loop
 	// creates, so callers can Interrupt a long-running solve from
 	// another goroutine.
@@ -51,12 +52,10 @@ type Options struct {
 
 // Solve decides ∃x ∀t φ(t,x). The formula is the AIG edge root of g;
 // xPIs and tPIs partition (a subset of) g's PI positions. PIs in
-// neither list are treated as existential (grouped with x).
+// neither list are treated as existential (grouped with x). It gives up
+// with an error when a solver is interrupted or after maxIterations
+// rounds.
 func Solve(g *aig.AIG, root aig.Lit, xPIs, tPIs []int, opts Options) (*Result, error) {
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 10000
-	}
 	inT := make(map[int]bool, len(tPIs))
 	for _, p := range tPIs {
 		inT[p] = true
@@ -100,10 +99,6 @@ func Solve(g *aig.AIG, root aig.Lit, xPIs, tPIs []int, opts Options) (*Result, e
 		uniT[i] = uniEnc.Lit(g.PI(p))
 	}
 
-	if opts.ConfBudget > 0 {
-		expSolver.SetConfBudget(opts.ConfBudget)
-		uniSolver.SetConfBudget(opts.ConfBudget)
-	}
 	if opts.OnSolver != nil {
 		opts.OnSolver(expSolver)
 		opts.OnSolver(uniSolver)
@@ -130,14 +125,14 @@ func Solve(g *aig.AIG, root aig.Lit, xPIs, tPIs []int, opts Options) (*Result, e
 		res.Copies++
 	}
 
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
+	for res.Iterations = 0; res.Iterations < maxIterations; res.Iterations++ {
 		switch expSolver.Solve() {
 		case sat.Unsat:
 			// No x satisfies all collected copies: formula is false.
 			res.Holds = false
 			return res, nil
 		case sat.Unknown:
-			return res, fmt.Errorf("qbf: existential solver exceeded budget after %d iterations", res.Iterations)
+			return res, fmt.Errorf("qbf: existential solver interrupted after %d iterations", res.Iterations)
 		}
 		xStar := make([]bool, len(xPIs))
 		assumps := make([]sat.Lit, 0, len(xPIs)+1)
@@ -154,7 +149,7 @@ func Solve(g *aig.AIG, root aig.Lit, xPIs, tPIs []int, opts Options) (*Result, e
 			res.Witness = xStar
 			return res, nil
 		case sat.Unknown:
-			return res, fmt.Errorf("qbf: universal solver exceeded budget after %d iterations", res.Iterations)
+			return res, fmt.Errorf("qbf: universal solver interrupted after %d iterations", res.Iterations)
 		}
 		move := make([]bool, len(tPIs))
 		for i := range tPIs {
@@ -163,5 +158,5 @@ func Solve(g *aig.AIG, root aig.Lit, xPIs, tPIs []int, opts Options) (*Result, e
 		res.Moves = append(res.Moves, move)
 		addCopy(move)
 	}
-	return res, fmt.Errorf("qbf: iteration limit %d exceeded", maxIter)
+	return res, fmt.Errorf("qbf: iteration limit %d exceeded", maxIterations)
 }

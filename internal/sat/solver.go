@@ -97,9 +97,8 @@ type Solver struct {
 	model    []LBool
 	conflict []Lit // assumption core after Unsat under assumptions
 
-	// Budgets; negative means unlimited.
+	// Conflict budget per Solve call; negative means unlimited.
 	confBudget int64
-	propBudget int64
 
 	// interrupted is set asynchronously by Interrupt and polled in the
 	// search loop; while set, Solve returns Unknown. It is the only
@@ -138,7 +137,6 @@ func New() *Solver {
 		clauseInc:  1,
 		okay:       true,
 		confBudget: -1,
-		propBudget: -1,
 		reduceLim:  firstReduce,
 		lbdQueue:   newBoundedQueue(lbdWindow),
 		trailQueue: newBoundedQueue(trailWindow),
@@ -153,11 +151,6 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // NumClauses returns the number of problem clauses currently held.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// LearntDB reports the current sizes of the two learnt-clause tiers.
-func (s *Solver) LearntDB() (core, local int) {
-	return len(s.coreLearnts), len(s.learnts)
-}
 
 // Okay reports whether the clause database is still consistent at the
 // top level (false once UNSAT has been proved without assumptions).
@@ -264,10 +257,6 @@ func (s *Solver) Core() []Lit { return s.conflict }
 // SetConfBudget limits the number of conflicts in subsequent Solve
 // calls; negative means unlimited. The budget applies per call.
 func (s *Solver) SetConfBudget(n int64) { s.confBudget = n }
-
-// SetPropBudget limits the number of propagations in subsequent Solve
-// calls; negative means unlimited. The budget applies per call.
-func (s *Solver) SetPropBudget(n int64) { s.propBudget = n }
 
 // Interrupt asynchronously aborts the in-flight Solve call (and makes
 // any future call return immediately) with status Unknown. It is the
@@ -1070,8 +1059,7 @@ func (s *Solver) recordLearnt(learnt []Lit, lbd uint32) {
 }
 
 func (s *Solver) budgetExhausted() bool {
-	return (s.confBudget >= 0 && s.Stats.Conflicts >= s.confBudget) ||
-		(s.propBudget >= 0 && s.Stats.Propagations >= s.propBudget)
+	return s.confBudget >= 0 && s.Stats.Conflicts >= s.confBudget
 }
 
 // Solve decides satisfiability under the given assumptions.
@@ -1083,19 +1071,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.okay {
 		return Unsat
 	}
-	// Reset per-call budgets relative to current counters.
-	confLimit := int64(-1)
-	if s.confBudget >= 0 {
-		confLimit = s.Stats.Conflicts + s.confBudget
+	// Reset the per-call budget relative to the current counter.
+	saved := s.confBudget
+	if saved >= 0 {
+		s.confBudget = s.Stats.Conflicts + saved
 	}
-	propLimit := int64(-1)
-	if s.propBudget >= 0 {
-		propLimit = s.Stats.Propagations + s.propBudget
-	}
-	savedConf, savedProp := s.confBudget, s.propBudget
-	s.confBudget, s.propBudget = confLimit, propLimit
 	defer func() {
-		s.confBudget, s.propBudget = savedConf, savedProp
+		s.confBudget = saved
 		s.cancelUntil(0)
 	}()
 
@@ -1110,42 +1092,4 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	return status
-}
-
-// Simplify removes clauses satisfied at the top level. It may only be
-// called at decision level 0.
-func (s *Solver) Simplify() bool {
-	if !s.okay {
-		return false
-	}
-	if s.propagate() != CRefUndef {
-		s.okay = false
-		return false
-	}
-	s.clauses = s.simplifyList(s.clauses)
-	s.coreLearnts = s.simplifyList(s.coreLearnts)
-	s.learnts = s.simplifyList(s.learnts)
-	s.maybeGC()
-	return true
-}
-
-func (s *Solver) simplifyList(cs []CRef) []CRef {
-	j := 0
-	for _, c := range cs {
-		satisfied := false
-		for _, l := range s.ca.lits(c) {
-			if s.LitValue(l) == LTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied && s.reason[s.ca.lit(c, 0).Var()] != c {
-			s.detachClause(c)
-			s.ca.free(c)
-			continue
-		}
-		cs[j] = c
-		j++
-	}
-	return cs[:j]
 }

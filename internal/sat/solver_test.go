@@ -378,24 +378,6 @@ func TestValueDuringAndAfterSolve(t *testing.T) {
 	}
 }
 
-func TestSimplify(t *testing.T) {
-	s := New()
-	ls := newVars(s, 4)
-	s.AddClause(ls[0], ls[1])
-	s.AddClause(ls[0]) // makes the previous clause satisfied at level 0
-	s.AddClause(ls[2], ls[3])
-	before := s.NumClauses()
-	if !s.Simplify() {
-		t.Fatal("Simplify reported inconsistency")
-	}
-	if s.NumClauses() >= before {
-		t.Fatalf("Simplify did not remove satisfied clause: %d -> %d", before, s.NumClauses())
-	}
-	if s.Solve() != Sat {
-		t.Fatal("still satisfiable after simplify")
-	}
-}
-
 func TestManyVars(t *testing.T) {
 	s := New()
 	ls := newVars(s, 2000)

@@ -39,13 +39,13 @@ func postRaw(t *testing.T, c *Client, options string) JobStatus {
 }
 
 // TestRemovedPrepOptionIgnored pins wire compatibility for the
-// removed "preprocess", "rewrite", "sim", "parallelism", "use_qbf" and
-// "functional_match" job options:
+// removed "preprocess", "rewrite", "sim", "parallelism", "use_qbf",
+// "functional_match" and "conf_budget" job options:
 // old clients and persisted requests still send them, so a raw
 // submission carrying them is accepted and solved with the fields
 // ignored — also next to patch "interp", a combination "preprocess"
-// used to reject, and with a negative "parallelism" the daemon used to
-// reject.
+// used to reject, and with a negative "parallelism" or "conf_budget"
+// the daemon used to reject.
 func TestRemovedPrepOptionIgnored(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	solve := s.solve
@@ -72,6 +72,9 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 		{`{"use_qbf": false}`, eco.PatchCubeEnum},
 		{`{"use_qbf": true}`, eco.PatchCubeEnum},
 		{`{"functional_match": false}`, eco.PatchCubeEnum},
+		{`{"conf_budget": 7}`, eco.PatchCubeEnum},
+		{`{"conf_budget": 0}`, eco.PatchCubeEnum},
+		{`{"conf_budget": -1}`, eco.PatchCubeEnum},
 	} {
 		st, err := c.Wait(ctx, postRaw(t, c, tc.options).ID, 2*time.Millisecond)
 		if err != nil {
@@ -87,8 +90,8 @@ func TestRemovedPrepOptionIgnored(t *testing.T) {
 }
 
 // TestDedupNormalizesParallelism: the ignored "parallelism",
-// "use_qbf" and "functional_match" fields do not enter the request
-// digest, so submissions that differ from {} only in them run the
+// "use_qbf", "functional_match" and "conf_budget" fields do not enter
+// the request digest, so submissions that differ from {} only in them run the
 // identical solve, and each is served as a dedup of the first.
 func TestDedupNormalizesParallelism(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
@@ -103,6 +106,7 @@ func TestDedupNormalizesParallelism(t *testing.T) {
 	for _, options := range []string{
 		`{"parallelism": 1}`, `{"parallelism": 4}`,
 		`{"use_qbf": false}`, `{"functional_match": false}`,
+		`{"conf_budget": 7}`, `{"conf_budget": 0}`, `{"conf_budget": -1}`,
 	} {
 		if st := postRaw(t, c, options); st.DedupOf != first.ID {
 			t.Fatalf("options %s: dedup_of = %q, want %q", options, st.DedupOf, first.ID)

@@ -75,7 +75,6 @@ type JobOptions struct {
 	LastGasp        *bool   `json:"last_gasp,omitempty"`
 	CEGARMin        *bool   `json:"cegar_min,omitempty"`
 	ForceStructural bool    `json:"force_structural,omitempty"`
-	ConfBudget      int64   `json:"conf_budget,omitempty"`
 	TimeoutSec      float64 `json:"timeout_sec,omitempty"`
 }
 
@@ -103,10 +102,6 @@ func (o JobOptions) Eco() (eco.Options, error) {
 		opt.CEGARMin = *o.CEGARMin
 	}
 	opt.ForceStructural = o.ForceStructural
-	if o.ConfBudget < 0 {
-		return opt, fmt.Errorf("conf_budget must be >= 0")
-	}
-	opt.ConfBudget = o.ConfBudget
 	if o.TimeoutSec < 0 {
 		return opt, fmt.Errorf("timeout_sec must be >= 0")
 	}

@@ -288,7 +288,7 @@ func TestListFilters(t *testing.T) {
 	var ids []string
 	for i := 0; i < 3; i++ {
 		req := testRequest()
-		req.Options.ConfBudget = int64(i + 1) // distinct digests: no dedup
+		req.Options.TimeoutSec = float64(60 + i) // distinct digests: no dedup
 		st, err := c.Submit(ctx, req)
 		if err != nil {
 			t.Fatal(err)

@@ -84,8 +84,8 @@ func TestRequestDigestGolden(t *testing.T) {
 		want string
 	}{
 		{"defaults", JobOptions{}, "d1e0afd456893936b5f71462bcb91cf6eb8b8db4e83d0922ff9e940e5783c4ae"},
-		{"tuned", JobOptions{Support: "exact", Patch: "interp", LastGasp: &off, ConfBudget: 100, TimeoutSec: 2.5},
-			"2e6547652d5f7fb37e4cedd7bc19b7ba3a0248b4c6305300a4fb920de7292c24"},
+		{"tuned", JobOptions{Support: "exact", Patch: "interp", LastGasp: &off, CEGARMin: &off, TimeoutSec: 2.5},
+			"54409fb08868199c5f49887e8a8784a3d9daccdf7301fa6ea95364501f431641"},
 	} {
 		opt, err := tc.opts.Eco()
 		if err != nil {

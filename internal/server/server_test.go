@@ -196,7 +196,7 @@ func TestStatsMetricsSurface(t *testing.T) {
 		t.Fatalf("duplicate did not attach: %+v", waiter)
 	}
 	other := testRequest()
-	other.Options.ConfBudget = 7
+	other.Options.ForceStructural = true
 	queued := submit(other)
 	if st, err := c.Cancel(ctx, queued.ID); err != nil || st.State != StateCancelled {
 		t.Fatalf("cancel queued job: %v %+v", err, st)
@@ -461,9 +461,9 @@ func TestSubmitValidation(t *testing.T) {
 			r.Options.Support = "quantum"
 			return r
 		}()},
-		{"negative budget", func() JobRequest {
+		{"negative timeout", func() JobRequest {
 			r := testRequest()
-			r.Options.ConfBudget = -1
+			r.Options.TimeoutSec = -1
 			return r
 		}()},
 	}
