@@ -4,8 +4,7 @@
 //
 //	ecod serve [-addr :8080] [-workers N] [-queue N]
 //	           [-max-jobs N] [-default-timeout 0] [-max-timeout 0]
-//	           [-results-dir DIR] [-data-dir DIR] [-drain-grace 10s]
-//	           [-cache-entries 256]
+//	           [-data-dir DIR] [-drain-grace 10s] [-cache-entries 256]
 //
 // The daemon exposes POST /v1/jobs, GET /v1/jobs[/{id}],
 // DELETE /v1/jobs/{id}, /healthz and /metrics; SIGTERM/SIGINT drain
@@ -98,26 +97,19 @@ func cmdServe(args []string) error {
 		maxJobs    = fs.Int("max-jobs", 1024, "retained jobs before oldest finished are evicted")
 		defTimeout = fs.Duration("default-timeout", 0, "deadline for jobs that set none (0 = unbounded)")
 		maxTimeout = fs.Duration("max-timeout", 0, "clamp on per-job deadlines (0 = no clamp)")
-		resultsDir = fs.String("results-dir", "", "persist finished job results as <dir>/<id>.json")
-		dataDir    = fs.String("data-dir", "", "crash-safe persistence: replay job history (and warm the result cache) from this directory on boot")
+		dataDir    = fs.String("data-dir", "", "crash-safe persistence: keep every job as <dir>/<id>.json and replay them (warming the result cache) on boot")
 		grace      = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before interruption")
 		cacheEnt   = fs.Int("cache-entries", 256, "entries in the content-addressed result cache (0 disables it)")
 	)
 	fs.Parse(args)
 
 	logger := log.New(os.Stderr, "ecod ", log.LstdFlags)
-	if *resultsDir != "" {
-		if err := os.MkdirAll(*resultsDir, 0o755); err != nil {
-			return err
-		}
-	}
 	srv, err := server.New(server.Config{
 		Workers:        *workers,
 		QueueCap:       *queueCap,
 		MaxJobs:        *maxJobs,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
-		ResultsDir:     *resultsDir,
 		DataDir:        *dataDir,
 		CacheEntries:   *cacheEnt,
 		Log:            logger,

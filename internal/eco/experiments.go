@@ -38,27 +38,15 @@ func CompareMinimize(inst *Instance) (*MinimizeComparison, error) {
 
 	m0, m1 := e.cofactorMiters(0)
 	s := e.newSolver()
-	enc1 := cnf.NewEncoder(s, e.w)
-	enc2 := cnf.NewEncoder(s, e.w)
-	r1 := enc1.Lit(m0)
-	r2 := enc2.Lit(m1)
 	divs := e.orderedDivisors()
-	auxs := make([]sat.Lit, len(divs))
-	for j, d := range divs {
-		d1 := enc1.Lit(d.edge)
-		d2 := enc2.Lit(d.edge)
-		a := sat.PosLit(s.NewVar())
-		s.AddClause(a.Not(), d1.Not(), d2)
-		s.AddClause(a.Not(), d1, d2.Not())
-		auxs[j] = a
-	}
-	fixed := []sat.Lit{r1, r2}
-	if st := s.Solve(append(append([]sat.Lit{}, fixed...), auxs...)...); st != sat.Unsat {
+	ec := e.encodeExprTwo(s, m0, m1, divs)
+	fixed := []sat.Lit{ec.r1, ec.r2}
+	if st := s.Solve(append(append([]sat.Lit{}, fixed...), ec.auxs...)...); st != sat.Unsat {
 		return nil, fmt.Errorf("eco: expression (2) not UNSAT (%v)", st)
 	}
 
 	cmp := &MinimizeComparison{Divisors: len(divs)}
-	arr := append([]sat.Lit(nil), auxs...)
+	arr := append([]sat.Lit(nil), ec.auxs...)
 	m := &minimizer{s: s, fixed: fixed, calls: &cmp.BisectionCalls}
 	kept, err := m.minimize(arr)
 	if err != nil {
@@ -66,7 +54,7 @@ func CompareMinimize(inst *Instance) (*MinimizeComparison, error) {
 	}
 	cmp.Kept = kept
 
-	arrLin := append([]sat.Lit(nil), auxs...)
+	arrLin := append([]sat.Lit(nil), ec.auxs...)
 	keptLin, err := minimizeLinear(s, fixed, arrLin, &cmp.LinearCalls)
 	if err != nil {
 		return nil, err

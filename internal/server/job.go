@@ -52,7 +52,7 @@ var States = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCan
 // JobRequest is the body of POST /v1/jobs: one ECO instance in the
 // contest text formats plus engine options.
 type JobRequest struct {
-	// Name labels the job in listings and result files. Optional.
+	// Name labels the job in listings and job files. Optional.
 	Name string `json:"name,omitempty"`
 	// Impl is the old implementation netlist (F.v source) with free
 	// t_* target points.
@@ -158,8 +158,8 @@ type JobStatus struct {
 	// this job's result, when the submission was deduplicated by the
 	// daemon's content-addressed result cache.
 	DedupOf string `json:"dedup_of,omitempty"`
-	// Recovered marks a job restored from the persistence log after a
-	// daemon crash while it was queued or running: its solve died with
+	// Recovered marks a job restored from the data dir after a daemon
+	// crash while it was queued or running: its solve died with
 	// the process, so it reports failed with a "recovered" error.
 	Recovered bool `json:"recovered,omitempty"`
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ecopatch/internal/eco"
-	"ecopatch/internal/persist"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the solve-latency
@@ -147,11 +146,9 @@ type gaugeSnapshot struct {
 	cacheEnabled bool
 	cacheEntries int // completed results retained for dedup
 
-	// Persistence-log counters (persistEnabled false without -data-dir)
-	// and process uptime.
-	persistEnabled bool
-	persist        persist.Stats
-	uptimeSec      float64
+	// Job-file counters (nil without -data-dir) and process uptime.
+	persist   *persistence
+	uptimeSec float64
 }
 
 // buildInfo caches the ecod_build_info line: go version plus the main
@@ -231,17 +228,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	fmt.Fprintf(w, "# HELP ecod_uptime_seconds Seconds since the daemon started.\n# TYPE ecod_uptime_seconds gauge\necod_uptime_seconds %g\n", g.uptimeSec)
 	fmt.Fprintf(w, "# HELP ecod_build_info Build metadata as labels, value fixed at 1.\n# TYPE ecod_build_info gauge\n%s", buildInfoLine())
 
-	if g.persistEnabled {
-		p := g.persist
-		counter("ecod_persist_records_total", "Records appended to the persistence log since boot.", p.Records)
-		counter("ecod_persist_bytes_total", "Bytes appended to the persistence log since boot.", p.Bytes)
-		counter("ecod_persist_replayed_total", "Records replayed from the persistence log at boot.", p.Replayed)
-		counter("ecod_persist_torn_tail_total", "Torn or corrupt log tails dropped by recovery scans.", p.TornTail)
-		counter("ecod_persist_compactions_total", "Completed persistence-log compactions.", p.Compactions)
-		counter("ecod_persist_fsync_batches_total", "Group-commit fsync batches issued by the persistence log.", p.FsyncBatches)
-		gauge("ecod_persist_live_records", "On-disk records still live (not superseded or evicted).", p.Live)
-		gauge("ecod_persist_garbage_records", "On-disk records known dead, feeding the compaction trigger.", p.Garbage)
-		gauge("ecod_persist_segments", "Segment files in the data directory.", int64(p.Segments))
+	if p := g.persist; p != nil {
+		counter("ecod_persist_records_total", "Job files written to the data dir since boot.", p.records.Load())
+		counter("ecod_persist_replayed_total", "Job files replayed from the data dir at boot.", p.replayed.Load())
+		counter("ecod_persist_skipped_total", "Damaged job files (bad JSON or checksum) skipped at boot.", p.skipped.Load())
 	}
 
 	if g.cacheEnabled {
@@ -252,12 +242,16 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	writeHistogram(w, "ecod_solve_seconds", "Wall-clock time inside eco.SolveContext.", m.solveTime)
 
 	// Engine + SAT-kernel counters: eco.Stats summed over every job
-	// that ran a solve, each counter one field. A table1@v1 cell's
+	// that ran a solve, one counter per field. A table1@v1 cell's
 	// sat_calls is Solver.SolveCalls (ecod_sat_solve_calls_total), not
 	// SATCalls (ecod_eco_sat_calls_total).
 	st := m.stats
 	counter("ecod_eco_sat_calls_total", "Top-level SAT queries issued by the engine, including those answered by the pattern bank.", st.SATCalls)
 	counter("ecod_eco_minimize_calls_total", "SAT calls spent inside support minimization.", int64(st.MinimizeCalls))
+	counter("ecod_eco_miter_copies_total", "Cofactor miter copies built for universal quantification.", int64(st.MiterCopies))
+	counter("ecod_eco_qbf_copies_total", "Copies used by the 2QBF feasibility check.", int64(st.QBFCopies))
+	counter("ecod_eco_divisors_total", "Candidate divisors offered to support selection.", int64(st.Divisors))
+	counter("ecod_eco_window_pos_total", "Outputs kept by structural window pruning.", int64(st.WindowPOs))
 	counter("ecod_eco_structural_fixes_total", "Targets patched by the structural fallback.", int64(st.StructuralFixes))
 	counter("ecod_eco_constant_targets_total", "Targets settled as constants by the one-copy check.", int64(st.ConstantTargets))
 	counter("ecod_eco_cubes_enumerated_total", "SOP cubes enumerated for patch functions.", int64(st.CubesEnumerated))
@@ -277,6 +271,12 @@ func (m *Metrics) WritePrometheus(w io.Writer, g gaugeSnapshot) {
 	counter("ecod_sat_learnts_total", "Clauses learnt by the SAT kernel.", st.Solver.Learnts)
 	counter("ecod_sat_learnts_removed_total", "Learnt clauses evicted by DB reduction.", st.Solver.Removed)
 	counter("ecod_sat_solve_calls_total", "Solve() invocations on SAT kernels.", st.Solver.SolveCalls)
+	counter("ecod_sat_starts_total", "SAT kernel search runs (one per Solve call plus one per restart).", st.Solver.Starts)
+	counter("ecod_sat_blocked_restarts_total", "Glucose restarts delayed by trail blocking.", st.Solver.BlockedRestarts)
+	counter("ecod_sat_reductions_total", "Learnt-clause DB reduction passes.", st.Solver.Reductions)
+	counter("ecod_sat_lbd_sum_total", "Sum of learnt-clause LBDs at learning time.", st.Solver.LBDSum)
+	counter("ecod_sat_core_promotions_total", "Learnt clauses promoted to the core tier.", st.Solver.CorePromotions)
+	counter("ecod_sat_arena_gcs_total", "Clause-arena compactions.", st.Solver.ArenaGCs)
 }
 
 func writeHistogram(w io.Writer, name, help string, h *histogram) {

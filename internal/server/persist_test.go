@@ -1,19 +1,18 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"log"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"ecopatch/internal/persist"
+	"ecopatch/internal/eco"
 )
 
 // TestPersistRestartWarm is the core crash-safety contract: finish a
@@ -73,208 +72,298 @@ func TestPersistRestartWarm(t *testing.T) {
 	}
 }
 
-// retiredSolvePayloads are solve-cache entries in the record format
-// older daemons appended under persist.RecSolve (one Sat entry with
-// its model, one Unsat entry).
-var retiredSolvePayloads = []string{
-	"0100000003000000020000000200000003000000030000000000000003000000040000000100000001000000010300000005",
-	"0100000003000000020000000200000003000000030000000000000003000000040000000000000002",
-}
-
-// TestPersistSkipsRetiredSolveRecords boots on a data dir written by a
-// daemon that still persisted its solve cache: the retired records
-// are skipped and logged once with their count, the job history and
-// the result cache are restored as usual, the skipped records count
-// as garbage, and compaction drops them.
-func TestPersistSkipsRetiredSolveRecords(t *testing.T) {
+// TestPersistRefusesSegmentLog boots on a data dir an older daemon
+// left as a segment log: New refuses it, names the files, and leaves
+// them in place rather than starting with the history silently gone.
+func TestPersistRefusesSegmentLog(t *testing.T) {
 	dir := t.TempDir()
-	lg, err := persist.Open(persist.Options{Dir: dir}, func(persist.RecordType, []byte) {})
-	if err != nil {
+	seg := filepath.Join(dir, "seg-00000000000000000001.log")
+	if err := os.WriteFile(seg, []byte{0xde, 0xad, 0xbe, 0xef}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 3
-	for i := 0; i < rounds; i++ {
-		for _, s := range retiredSolvePayloads {
-			b, err := hex.DecodeString(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lg.Append(persist.RecSolve, b); err != nil {
-				t.Fatal(err)
-			}
-		}
+	srv, err := New(Config{Workers: 1, DataDir: dir})
+	if err == nil {
+		srv.Drain(0)
+		t.Fatal("New accepted a data dir holding a segment log")
 	}
-	lg.Close()
-	solveFrames := int64(rounds * len(retiredSolvePayloads))
-
-	// A daemon on this dir finishes one job, so the log also holds a
-	// done job's records next to the retired ones.
-	cfg := Config{Workers: 1, CacheEntries: 16, DataDir: dir}
-	s1, c1 := newTestServer(t, cfg)
-	ctx := context.Background()
-	st, err := c1.Submit(ctx, testRequest())
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), seg) {
+		t.Fatalf("error %q does not name %s", err, seg)
 	}
-	if st, err = c1.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != StateDone {
-		t.Fatalf("run: %+v, err %v", st, err)
-	}
-	s1.Drain(0)
-
-	var logBuf bytes.Buffer
-	cfg.Log = log.New(&logBuf, "", 0)
-	s2, c2 := newTestServer(t, cfg)
-	if n := strings.Count(logBuf.String(), "retired solve-cache records"); n != 1 {
-		t.Fatalf("retired records logged %d times, want once:\n%s", n, logBuf.String())
-	}
-	if want := fmt.Sprintf("skipped %d retired solve-cache records", solveFrames); !strings.Contains(logBuf.String(), want) {
-		t.Fatalf("log lacks %q:\n%s", want, logBuf.String())
-	}
-	got, err := c2.Status(ctx, st.ID)
-	if err != nil || got.State != StateDone || got.Result == nil || got.Result.Patch != st.Result.Patch {
-		t.Fatalf("restored job = %+v, err %v; want done with its patch", got, err)
-	}
-	// The result-cache entry came back with it: a duplicate is served
-	// from the restored result.
-	dup, err := c2.Submit(ctx, testRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dup, err = c2.Wait(ctx, dup.ID, 5*time.Millisecond); err != nil || dup.DedupOf != st.ID {
-		t.Fatalf("dup after restart: %+v, err %v; want dedup_of %s", dup, err, st.ID)
-	}
-	if g := s2.persist.lg.Stats().Garbage; g < solveFrames {
-		t.Fatalf("garbage = %d, want >= %d retired solve records", g, solveFrames)
-	}
-
-	if err := s2.persist.lg.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Drain(0)
-	var solve, jobs int
-	lg, err = persist.Open(persist.Options{Dir: dir}, func(typ persist.RecordType, _ []byte) {
-		switch typ {
-		case persist.RecSolve:
-			solve++
-		case persist.RecJob:
-			jobs++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg.Close()
-	if solve != 0 || jobs == 0 {
-		t.Fatalf("after compaction: replayed %d solve and %d job records, want 0 and > 0", solve, jobs)
+	if _, err := os.Stat(seg); err != nil {
+		t.Fatalf("segment file not left in place: %v", err)
 	}
 }
 
-// TestPersistRecoverInterrupted crafts the log a kill -9 would leave —
-// jobs persisted as queued and running with no terminal record — and
-// asserts they recover as failed with the distinct recovered marker.
-// The log also holds a done job written by an older daemon, whose
-// record carries the removed "parallelism" option and portfolio
-// counters: it must still replay, done, with its patch.
+// writeJobFile writes one job file the way the daemon does.
+func writeJobFile(t *testing.T, dir string, rec jobRecord) {
+	t.Helper()
+	b, err := encodeJobFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, rec.Status.ID+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readJobFile decodes one job file; ok is false when it is missing.
+func readJobFile(t *testing.T, dir, id string) (rec jobRecord, ok bool) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, id+".json"))
+	if errors.Is(err, os.ErrNotExist) {
+		return jobRecord{}, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = decodeJobFile(b); err != nil {
+		t.Fatalf("job file %s: %v", id, err)
+	}
+	return rec, true
+}
+
+// TestPersistRecoverInterrupted crafts the files a kill -9 would leave
+// — jobs persisted as queued and running with no terminal write — and
+// asserts they recover as failed with the distinct recovered marker,
+// and that their files are rewritten so a second restart agrees. The
+// dir also holds a done job written by an older daemon, whose record
+// carries the removed "parallelism" option and portfolio counters: it
+// must still replay, done, with its patch.
 func TestPersistRecoverInterrupted(t *testing.T) {
 	dir := t.TempDir()
-	lg, err := persist.Open(persist.Options{Dir: dir}, func(persist.RecordType, []byte) {})
-	if err != nil {
-		t.Fatal(err)
-	}
 	now := time.Now()
-	for _, rec := range []jobRecord{
-		{Status: JobStatus{ID: "job-queued", Name: "q", State: StateQueued, QueuedAt: now}},
-		{Status: JobStatus{ID: "job-running", Name: "r", State: StateRunning, QueuedAt: now, StartedAt: &now}},
-		// Out-of-order append: the queued record lands after running,
-		// but replay must keep the more advanced state.
-		{Status: JobStatus{ID: "job-running", Name: "r", State: StateQueued, QueuedAt: now}},
-	} {
-		b, _ := json.Marshal(rec)
-		if err := lg.Append(persist.RecJob, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const oldDone = `{"digest": "00", "status": {"id": "job-old", "name": "o", "state": "done",
-		"queued_at": "2024-01-02T03:04:05Z", "options": {"parallelism": 2},
-		"result": {"schema": "ecod/result@v1", "cost": 3, "verified": true, "feasible": true,
-			"portfolio_races": 2, "portfolio_wins": {"glucose": 2},
-			"sat_shared_out": 5, "sat_shared_in": 4, "patch": "module patch();\nendmodule\n"}}}`
-	if err := lg.Append(persist.RecJob, []byte(oldDone)); err != nil {
+	writeJobFile(t, dir, jobRecord{Status: JobStatus{ID: "job-queued", Name: "q", State: StateQueued, QueuedAt: now}})
+	writeJobFile(t, dir, jobRecord{Status: JobStatus{ID: "job-running", Name: "r", State: StateRunning, QueuedAt: now, StartedAt: &now}})
+	const oldDone = `{"digest":"00","status":{"id":"job-old","name":"o","state":"done",` +
+		`"queued_at":"2024-01-02T03:04:05Z","options":{"parallelism":2},` +
+		`"result":{"schema":"ecod/result@v1","cost":3,"verified":true,"feasible":true,` +
+		`"portfolio_races":2,"portfolio_wins":{"glucose":2},` +
+		`"sat_shared_out":5,"sat_shared_in":4,"patch":"module patch();\nendmodule\n"}}}`
+	b, err := json.Marshal(jobFile{Record: json.RawMessage(oldDone), CRC: crc32.Checksum([]byte(oldDone), crcTable)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Close()
+	if err := os.WriteFile(filepath.Join(dir, "job-old.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	_, c := newTestServer(t, Config{Workers: 1, CacheEntries: 16, DataDir: dir})
+	cfg := Config{Workers: 1, CacheEntries: 16, DataDir: dir}
 	ctx := context.Background()
-	old, err := c.Status(ctx, "job-old")
-	if err != nil {
-		t.Fatalf("job-old not restored: %v", err)
-	}
-	if old.State != StateDone || old.Recovered || old.Result == nil || !old.Result.Verified ||
-		old.Result.Cost != 3 || old.Result.Patch != "module patch();\nendmodule\n" {
-		t.Fatalf("job-old = %+v, want done with its result", old)
-	}
-	for id, wasState := range map[string]State{"job-queued": StateQueued, "job-running": StateRunning} {
-		st, err := c.Status(ctx, id)
+	wantErr := map[string]string{}
+	for boot := 1; boot <= 2; boot++ {
+		s, c := newTestServer(t, cfg)
+		old, err := c.Status(ctx, "job-old")
 		if err != nil {
-			t.Fatalf("%s not restored: %v", id, err)
+			t.Fatalf("boot %d: job-old not restored: %v", boot, err)
 		}
-		if st.State != StateFailed || !st.Recovered {
-			t.Fatalf("%s = %+v, want failed+recovered", id, st)
+		if old.State != StateDone || old.Recovered || old.Result == nil || !old.Result.Verified ||
+			old.Result.Cost != 3 || old.Result.Patch != "module patch();\nendmodule\n" {
+			t.Fatalf("boot %d: job-old = %+v, want done with its result", boot, old)
 		}
-		if !strings.Contains(st.Error, "recovered") || !strings.Contains(st.Error, string(wasState)) {
-			t.Fatalf("%s error = %q, want recovered-while-%s", id, st.Error, wasState)
+		for id, wasState := range map[string]State{"job-queued": StateQueued, "job-running": StateRunning} {
+			st, err := c.Status(ctx, id)
+			if err != nil {
+				t.Fatalf("boot %d: %s not restored: %v", boot, id, err)
+			}
+			if st.State != StateFailed || !st.Recovered {
+				t.Fatalf("boot %d: %s = %+v, want failed+recovered", boot, id, st)
+			}
+			if !strings.Contains(st.Error, "recovered") || !strings.Contains(st.Error, string(wasState)) {
+				t.Fatalf("boot %d: %s error = %q, want recovered-while-%s", boot, id, st.Error, wasState)
+			}
+			if boot == 1 {
+				wantErr[id] = st.Error
+				if rec, ok := readJobFile(t, dir, id); !ok || rec.Status.State != StateFailed || !rec.Status.Recovered {
+					t.Fatalf("%s file = %+v (present %v), want rewritten failed+recovered", id, rec.Status, ok)
+				}
+			} else if st.Error != wantErr[id] {
+				t.Fatalf("second boot: %s error = %q, want %q", id, st.Error, wantErr[id])
+			}
 		}
+		s.Drain(0)
 	}
 }
 
-// TestPersistTornTail appends garbage to the active segment (a torn
-// crash tail) and asserts the daemon recovers the intact prefix,
-// counts the torn tail, and keeps serving.
+// TestPersistTornTail flips a byte in one finished job's file and
+// leaves a temp file behind (a write a crash cut short before its
+// rename). The next boot skips and counts the damaged file, deletes
+// the temp file, restores the intact job, and keeps serving.
 func TestPersistTornTail(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, CacheEntries: 16, DataDir: dir}
 
 	s1, c1 := newTestServer(t, cfg)
 	ctx := context.Background()
-	st, err := c1.Submit(ctx, testRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = c1.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != StateDone {
-		t.Fatalf("run: %+v, err %v", st, err)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		req := testRequest()
+		req.Options.TimeoutSec = float64(60 + i) // distinct digests: no dedup
+		st, err := c1.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c1.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != StateDone {
+			t.Fatalf("run: %+v, err %v", st, err)
+		}
+		ids = append(ids, st.ID)
 	}
 	s1.Drain(0)
 
-	// Tear the tail of the newest segment.
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
-	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	damaged := filepath.Join(dir, ids[0]+".json")
+	b, err := os.ReadFile(damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0x01})
-	f.Close()
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(damaged, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, ids[1]+".json.tmp123")
+	if err := os.WriteFile(tmp, []byte(`{"record":`), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
-	s2, c2 := newTestServer(t, cfg)
-	if tt := s2.persist.lg.Stats().TornTail; tt != 1 {
-		t.Fatalf("torn_tail = %d, want 1", tt)
+	_, c2 := newTestServer(t, cfg)
+	if n := metricValue(t, fetchMetrics(t, c2), "ecod_persist_skipped_total"); n != 1 {
+		t.Fatalf("skipped metric = %v, want 1", n)
 	}
-	if torn := metricValue(t, fetchMetrics(t, c2), "ecod_persist_torn_tail_total"); torn != 1 {
-		t.Fatalf("torn_tail metric = %v, want 1", torn)
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("leftover temp file not removed: %v", err)
 	}
-	// History intact and the daemon still serves new work.
-	if got, err := c2.Status(ctx, st.ID); err != nil || got.State != StateDone {
-		t.Fatalf("after torn tail: %+v, err %v", got, err)
+	if _, err := c2.Status(ctx, ids[0]); err == nil {
+		t.Fatal("the damaged job was replayed")
+	}
+	// The intact job survives and the daemon still serves new work.
+	if got, err := c2.Status(ctx, ids[1]); err != nil || got.State != StateDone {
+		t.Fatalf("after damaged file: %+v, err %v", got, err)
 	}
 	st2, err := c2.Submit(ctx, testRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2, err = c2.Wait(ctx, st2.ID, 5*time.Millisecond); err != nil || st2.State != StateDone {
-		t.Fatalf("submit after torn tail: %+v, err %v", st2, err)
+		t.Fatalf("submit after damaged file: %+v, err %v", st2, err)
+	}
+}
+
+// TestPersistRankGuard pins the write order of one job's file: a late
+// queued write or start never demotes a terminal file, and once
+// eviction deleted the file no later write recreates it. Through the
+// daemon, a store bounded at two jobs keeps exactly two files, and a
+// restart restores those two.
+func TestPersistRankGuard(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, MaxJobs: 2, DataDir: dir}
+	s, c := newTestServer(t, cfg)
+
+	j := s.store.NewJob("guard", nil, eco.Options{})
+	s.store.PersistQueued(j)
+	if rec, ok := readJobFile(t, dir, j.ID); !ok || rec.Status.State != StateQueued {
+		t.Fatalf("queued job file = %+v (present %v)", rec.Status, ok)
+	}
+	s.store.Finish(j, StateDone, "", &JobResult{Schema: ResultSchema, Patch: "module patch();\nendmodule\n"}, nil)
+	s.store.PersistQueued(j)
+	if s.store.Start(j, func() {}) {
+		t.Fatal("a finished job started")
+	}
+	if rec, ok := readJobFile(t, dir, j.ID); !ok || rec.Status.State != StateDone || rec.Status.Result == nil {
+		t.Fatalf("after late writes the file holds %+v (present %v), want done with its result", rec.Status, ok)
+	}
+	s.persist.evict([]*Job{j})
+	s.store.PersistQueued(j)
+	s.store.Finish(j, StateFailed, "again", nil, nil)
+	if _, ok := readJobFile(t, dir, j.ID); ok {
+		t.Fatal("a write after eviction recreated the job file")
+	}
+
+	ctx := context.Background()
+	var ids []string
+	for i := 0; i < 3; i++ {
+		req := testRequest()
+		req.Options.TimeoutSec = float64(60 + i)
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != StateDone {
+			t.Fatalf("job %d: %+v, err %v", i, st, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	s.Drain(0)
+	if _, ok := readJobFile(t, dir, ids[0]); ok {
+		t.Fatal("the evicted job's file is still on disk")
+	}
+	for _, id := range ids[1:] {
+		if rec, ok := readJobFile(t, dir, id); !ok || rec.Status.State != StateDone {
+			t.Fatalf("job %s file = %+v (present %v), want done", id, rec.Status, ok)
+		}
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(0)
+	if got := srv.store.List("", 0); len(got) != 2 || got[0].ID != ids[1] || got[1].ID != ids[2] {
+		t.Fatalf("restored jobs = %+v, want [%s %s]", got, ids[1], ids[2])
+	}
+}
+
+// TestPersistConcurrentFinishes races many instant solves on several
+// workers against their submit goroutines' queued writes: every
+// terminal file must be written before its job is visible as finished,
+// every job file must end terminal, and a restart must recover none of
+// them.
+func TestPersistConcurrentFinishes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, QueueCap: 64, DataDir: dir}
+	s, c := newTestServer(t, cfg)
+	s.solve = func(ctx context.Context, inst *eco.Instance, opt eco.Options) (*eco.Result, error) {
+		return &eco.Result{Feasible: true, Verified: true}, nil
+	}
+	s.store.mu.Lock()
+	save := s.store.persist
+	s.store.persist = func(j *Job, status JobStatus) {
+		if seen, ok := s.store.Get(j.ID); ok && seen.State.Terminal() {
+			t.Errorf("job %s was visible as %s before its file was written", j.ID, seen.State)
+		}
+		save(j, status)
+	}
+	s.store.mu.Unlock()
+	ctx := context.Background()
+	const n = 32
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := c.Submit(ctx, testRequest())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st, err = c.Wait(ctx, st.ID, time.Millisecond); err != nil || st.State != StateDone {
+				t.Errorf("job %d: %+v, err %v", i, st, err)
+			}
+			ids[i] = st.ID
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Every job was reported done, so its terminal file has landed.
+	s.Drain(0)
+	for _, id := range ids {
+		if rec, ok := readJobFile(t, dir, id); !ok || rec.Status.State != StateDone {
+			t.Fatalf("job %s file = %+v (present %v), want done", id, rec.Status, ok)
+		}
+	}
+	_, c2 := newTestServer(t, cfg)
+	jobs, err := c2.List(ctx, string(StateDone), 0)
+	if err != nil || len(jobs) != n {
+		t.Fatalf("restored %d done jobs, err %v; want %d", len(jobs), err, n)
 	}
 }
 
@@ -328,7 +417,8 @@ func TestListFilters(t *testing.T) {
 	srv.Drain(0)
 }
 
-// TestPersistMetricsSurface asserts the new metric families render.
+// TestPersistMetricsSurface asserts the persistence metric families
+// render.
 func TestPersistMetricsSurface(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, CacheEntries: 4, DataDir: t.TempDir()})
 	text, err := c.Metrics(context.Background())
@@ -337,11 +427,8 @@ func TestPersistMetricsSurface(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ecod_persist_records_total",
-		"ecod_persist_bytes_total",
 		"ecod_persist_replayed_total",
-		"ecod_persist_torn_tail_total",
-		"ecod_persist_compactions_total",
-		"ecod_persist_fsync_batches_total",
+		"ecod_persist_skipped_total",
 		"ecod_uptime_seconds",
 		"ecod_build_info{go_version=",
 	} {
@@ -349,6 +436,53 @@ func TestPersistMetricsSurface(t *testing.T) {
 			t.Fatalf("metrics missing %s", want)
 		}
 	}
+}
+
+// FuzzJobFileDecode feeds arbitrary bytes to the job-file decoder: it
+// never panics, and anything it accepts passes the checksum, names a
+// job, and survives a re-encode unchanged.
+func FuzzJobFileDecode(f *testing.F) {
+	now := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, rec := range []jobRecord{
+		{Status: JobStatus{ID: "q", State: StateQueued, QueuedAt: now}},
+		{Digest: "00ff", Status: JobStatus{ID: "d", Name: "n", State: StateDone, QueuedAt: now,
+			Result: &JobResult{Schema: ResultSchema, Patch: "module patch();\nendmodule\n"}}},
+	} {
+		b, err := encodeJobFile(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		flipped := append([]byte(nil), b...)
+		flipped[len(flipped)/2] ^= 0x01
+		f.Add(flipped)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"record":null,"crc32c":0}`))
+	f.Add([]byte(`{"record":{"status":{"id":"x"}},"crc32c":0}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decodeJobFile(data)
+		if err != nil {
+			return
+		}
+		var env jobFile
+		if json.Unmarshal(data, &env) != nil || crc32.Checksum(env.Record, crcTable) != env.CRC {
+			t.Fatalf("accepted a file that fails its checksum: %q", data)
+		}
+		if rec.Status.ID == "" {
+			t.Fatalf("accepted a record without a job id: %q", data)
+		}
+		b, err := encodeJobFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeJobFile(b)
+		if err != nil || again.Status.ID != rec.Status.ID || again.Status.State != rec.Status.State || again.Digest != rec.Digest {
+			t.Fatalf("re-encode of %+v decoded as %+v, err %v", rec, again, err)
+		}
+	})
 }
 
 // fetchMetrics dumps the exposition for metricValue (cache_test.go).

@@ -143,7 +143,7 @@ func (rc *resultCache) complete(digest, jobID string, cacheable bool, res *JobRe
 }
 
 // restore warms the done cache with a completed result replayed from
-// the persistence log (skipping digests already present — replay is
+// the data dir (skipping digests already present — replay is
 // first-wins, matching the live path's "first insertion wins"). FIFO
 // bound applies as on the live path.
 func (rc *resultCache) restore(digest, jobID string, res *JobResult) {

@@ -8,14 +8,12 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ecopatch/internal/atomicio"
 	"ecopatch/internal/eco"
 )
 
@@ -40,15 +38,12 @@ type Config struct {
 	// netlists are text and compress poorly, but a full design still
 	// fits comfortably).
 	MaxBodyBytes int64
-	// ResultsDir, when set, persists every finished job's result as
-	// <dir>/<id>.json, written atomically.
-	ResultsDir string
-	// DataDir, when set, enables crash-safe persistence: job
-	// transitions are appended to a segment log in this directory and
-	// replayed on the next boot — finished jobs stay
-	// listable with their results, identical re-submissions hit the
-	// warmed result cache, and jobs that were queued or running at the
-	// crash come back as failed with Recovered set.
+	// DataDir, when set, enables crash-safe persistence: every job
+	// transition atomically rewrites <dir>/<id>.json, and the next boot
+	// replays the files — finished jobs stay listable with their
+	// results, identical re-submissions hit the warmed result cache,
+	// and jobs that were queued or running at the crash come back as
+	// failed with Recovered set.
 	DataDir string
 	// CacheEntries, when > 0, enables the content-addressed result
 	// cache: completed results are served instantly to identical
@@ -87,7 +82,7 @@ type Server struct {
 	// Config.CacheEntries is zero.
 	rcache *resultCache
 
-	// persist is the on-disk durability layer (nil without DataDir);
+	// persist keeps the job files (nil without DataDir);
 	// start stamps boot time for the uptime gauge.
 	persist *persistence
 	start   time.Time
@@ -105,8 +100,8 @@ type Server struct {
 }
 
 // New builds a server and starts its worker pool. With Config.DataDir
-// set it also opens the persistence log and replays it — the only way
-// New can fail.
+// set it also replays the data dir's job files — the only way New can
+// fail.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
@@ -139,12 +134,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics exposes the metrics set (for embedding hosts).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Store exposes the job store (for embedding hosts and tests).
-func (s *Server) Store() *Store { return s.store }
-
 // worker pulls jobs until drain. The non-blocking quit check first
 // makes drain deterministic: once quit closes, no worker starts
 // another queued job even if the queue is non-empty.
@@ -172,7 +161,6 @@ func (s *Server) runJob(j *Job) {
 	if !s.store.Start(j, cancel) {
 		return // cancelled while queued
 	}
-	s.persistJob(j, false)
 	s.metrics.QueueWait(time.Since(j.queuedAt))
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -193,31 +181,11 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// persistJob appends the job's current status to the persistence log
-// (no-op without DataDir). Non-terminal snapshots ride the async path.
-func (s *Server) persistJob(j *Job, durable bool) {
-	if s.persist == nil {
-		return
-	}
-	status, ok := s.store.Get(j.ID)
-	if !ok {
-		// Not registered yet (worker outran the submit goroutine):
-		// snapshot through the job's own fields under the store lock.
-		status = func() JobStatus {
-			s.store.mu.Lock()
-			defer s.store.mu.Unlock()
-			return j.statusLocked()
-		}()
-	}
-	status.Result = nil // terminal records carry results via jobFinished
-	s.persist.saveJob(j, status, durable)
-}
-
-// jobFinished is the store's terminal-transition hook: metrics and
-// the optional on-disk result file. stats is nil unless the job ran a
-// solve itself; jobs finished without one (cancelled while queued,
-// dedup waiters, instant cache hits) carry a copy of some other run's
-// result, or none, and add nothing to the engine counters.
+// jobFinished is the store's terminal-transition hook (the job file is
+// already written). stats is nil unless the job ran a solve itself;
+// jobs finished without one (cancelled while queued, dedup waiters,
+// instant cache hits) carry a copy of some other run's result, or
+// none, and add nothing to the engine counters.
 func (s *Server) jobFinished(j *Job, status JobStatus, stats *eco.Stats) {
 	var solve time.Duration
 	if status.StartedAt != nil && status.FinishedAt != nil {
@@ -225,12 +193,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus, stats *eco.Stats) {
 	}
 	s.metrics.Finished(status.State, solve, stats)
 	s.cfg.Log.Printf("job %s (%s) -> %s", j.ID, j.Name, status.State)
-
-	// Terminal records are durable (group-commit fsync): a finished
-	// job — result included — must survive kill -9.
-	if s.persist != nil {
-		s.persist.saveJob(j, status, true)
-	}
 
 	// Resolve result-cache bookkeeping: cache the completed result and
 	// finish every duplicate submission that attached while this job
@@ -241,18 +203,6 @@ func (s *Server) jobFinished(j *Job, status JobStatus, stats *eco.Stats) {
 		waiters := s.rcache.complete(j.digest, j.ID, status.State == StateDone, status.Result)
 		for _, wj := range waiters {
 			s.store.Finish(wj, status.State, status.Error, status.Result, nil)
-		}
-	}
-
-	if s.cfg.ResultsDir != "" && status.Result != nil {
-		path := filepath.Join(s.cfg.ResultsDir, j.ID+".json")
-		err := atomicio.WriteFile(path, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(status)
-		})
-		if err != nil {
-			s.cfg.Log.Printf("job %s: result file: %v", j.ID, err)
 		}
 	}
 }
@@ -301,14 +251,6 @@ sweep:
 		case j := <-s.queue:
 			s.store.Finish(j, StateCancelled, "server draining", nil, nil)
 		default:
-			// Every Finish has run by now, so the log holds the final
-			// state of every job; seal it before declaring the drain
-			// done. A kill -9 skips this — that is what recovery is for.
-			if s.persist != nil {
-				if err := s.persist.lg.Close(); err != nil {
-					s.cfg.Log.Printf("persist: close: %v", err)
-				}
-			}
 			close(s.drained)
 			s.cfg.Log.Printf("drain complete")
 			return
@@ -403,7 +345,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.metrics.CacheAttached()
 			s.metrics.Submitted()
 			s.store.Register(j)
-			s.persistJob(j, false)
+			s.store.PersistQueued(j)
 			s.respondSubmitted(w, j)
 			return
 		}
@@ -432,7 +374,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.rcache != nil && j.digest != "" {
 		s.rcache.markInflight(j.digest, j)
 	}
-	s.persistJob(j, false)
+	s.store.PersistQueued(j)
 	s.respondSubmitted(w, j)
 }
 
@@ -515,15 +457,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		workers:       s.cfg.Workers,
 		draining:      s.draining.Load(),
 		counts:        s.store.Counts(),
+		persist:       s.persist,
 	}
 	if s.rcache != nil {
 		g.cacheEnabled = true
 		g.cacheEntries = s.rcache.entries()
 	}
 	g.uptimeSec = time.Since(s.start).Seconds()
-	if s.persist != nil {
-		g.persistEnabled = true
-		g.persist = s.persist.lg.Stats()
-	}
 	s.metrics.WritePrometheus(w, g)
 }

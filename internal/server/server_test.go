@@ -2,10 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -71,7 +68,7 @@ func blockingSolve(started chan<- string, release <-chan struct{}) func(context.
 
 func TestEndToEndRealSolve(t *testing.T) {
 	dir := t.TempDir()
-	s, c := newTestServer(t, Config{Workers: 2, QueueCap: 8, ResultsDir: dir})
+	s, c := newTestServer(t, Config{Workers: 2, QueueCap: 8, DataDir: dir})
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, testRequest())
@@ -101,20 +98,11 @@ func TestEndToEndRealSolve(t *testing.T) {
 		t.Fatalf("patch netlist missing: %q", st.Result.Patch)
 	}
 
-	// The result file is written atomically on finish (the onFinish
-	// hook runs just after the terminal state becomes visible).
-	path := filepath.Join(dir, st.ID+".json")
-	waitFor(t, func() bool { _, err := os.Stat(path); return err == nil })
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onDisk JobStatus
-	if err := json.Unmarshal(b, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if onDisk.State != StateDone || onDisk.Result == nil || !onDisk.Result.Verified {
-		t.Fatalf("result file disagrees: %+v", onDisk)
+	// The job file, result included, is written before the job is
+	// reported done.
+	rec, ok := readJobFile(t, dir, st.ID)
+	if onDisk := rec.Status; !ok || onDisk.State != StateDone || onDisk.Result == nil || !onDisk.Result.Verified || onDisk.Result.Patch != st.Result.Patch {
+		t.Fatalf("job file disagrees (present %v): %+v", ok, onDisk)
 	}
 
 	// The metrics surface aggregates the solver counters.
@@ -141,34 +129,43 @@ func TestEndToEndRealSolve(t *testing.T) {
 }
 
 // fillDistinct sets every integer field of *st, the nested sat.Stats
-// included, to a distinct positive value.
-func fillDistinct(t *testing.T, st *eco.Stats) {
+// included, to a distinct positive value, and maps each value as
+// /metrics renders it (time.Duration fields in seconds) to its field.
+func fillDistinct(t *testing.T, st *eco.Stats) map[float64]string {
+	leaves := map[float64]string{}
 	n := int64(0)
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
 		switch v.Kind() {
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
-				walk(v.Field(i))
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
 			}
 		case reflect.Int, reflect.Int64:
 			n++
 			v.SetInt(n)
+			if v.Type() == reflect.TypeOf(time.Duration(0)) {
+				leaves[time.Duration(n).Seconds()] = path
+			} else {
+				leaves[float64(n)] = path
+			}
 		default:
 			t.Fatalf("unhandled eco.Stats field kind %s", v.Kind())
 		}
 	}
-	walk(reflect.ValueOf(st).Elem())
+	walk("Stats", reflect.ValueOf(st).Elem())
+	return leaves
 }
 
 // TestStatsMetricsSurface pins /metrics to the engine's own Stats. The
 // one solve sets a distinct value in every eco.Stats field, and each
-// ecod_eco_*, ecod_sim_* and ecod_sat_* counter must equal the field
-// it names, once: the dedup waiter, the cache hit and the job
-// cancelled while queued add nothing.
+// ecod_eco_*, ecod_sim_* and ecod_sat_* counter must equal one of
+// those values, once: the dedup waiter, the cache hit and the job
+// cancelled while queued add nothing. Every field must be matched by
+// exactly one counter, so a new field without a counter fails.
 func TestStatsMetricsSurface(t *testing.T) {
 	var stats eco.Stats
-	fillDistinct(t, &stats)
+	leaves := fillDistinct(t, &stats)
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, CacheEntries: 16})
@@ -216,44 +213,31 @@ func TestStatsMetricsSurface(t *testing.T) {
 		return err == nil && strings.Contains(text, `ecod_jobs_finished_total{state="done"} 3`)
 	})
 
-	want := map[string]float64{
-		"ecod_eco_sat_calls_total":        float64(stats.SATCalls),
-		"ecod_eco_minimize_calls_total":   float64(stats.MinimizeCalls),
-		"ecod_eco_structural_fixes_total": float64(stats.StructuralFixes),
-		"ecod_eco_constant_targets_total": float64(stats.ConstantTargets),
-		"ecod_eco_cubes_enumerated_total": float64(stats.CubesEnumerated),
-		"ecod_eco_support_seconds_total":  stats.SupportTime.Seconds(),
-		"ecod_eco_patch_seconds_total":    stats.PatchTime.Seconds(),
-		"ecod_eco_verify_seconds_total":   stats.VerifyTime.Seconds(),
-		"ecod_sim_elided_total":           float64(stats.SimElided),
-		"ecod_sim_pruned_divisors_total":  float64(stats.SimPruned),
-		"ecod_sim_patterns_total":         float64(stats.SimPatterns),
-		"ecod_sat_conflicts_total":        float64(stats.Solver.Conflicts),
-		"ecod_sat_decisions_total":        float64(stats.Solver.Decisions),
-		"ecod_sat_propagations_total":     float64(stats.Solver.Propagations),
-		"ecod_sat_restarts_total":         float64(stats.Solver.Restarts),
-		"ecod_sat_learnts_total":          float64(stats.Solver.Learnts),
-		"ecod_sat_learnts_removed_total":  float64(stats.Solver.Removed),
-		"ecod_sat_solve_calls_total":      float64(stats.Solver.SolveCalls),
-	}
-	seen := 0
+	matched := map[string]string{} // eco.Stats field -> counter
 	for _, line := range strings.Split(text, "\n") {
 		name, value, ok := strings.Cut(line, " ")
 		if !ok || !(strings.HasPrefix(name, "ecod_eco_") || strings.HasPrefix(name, "ecod_sim_") || strings.HasPrefix(name, "ecod_sat_")) {
 			continue
 		}
-		w, known := want[name]
-		if !known {
-			t.Errorf("%s has no eco.Stats field in this test", name)
+		got, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Errorf("%s = %q: %v", name, value, err)
 			continue
 		}
-		seen++
-		if got, err := strconv.ParseFloat(value, 64); err != nil || got != w {
-			t.Errorf("%s = %s, want %g", name, value, w)
+		field, ok := leaves[got]
+		switch {
+		case !ok:
+			t.Errorf("%s = %s matches no eco.Stats field", name, value)
+		case matched[field] != "":
+			t.Errorf("%s and %s both report %s", matched[field], name, field)
+		default:
+			matched[field] = name
 		}
 	}
-	if seen != len(want) {
-		t.Errorf("saw %d engine counters, want %d", seen, len(want))
+	for _, field := range leaves {
+		if matched[field] == "" {
+			t.Errorf("%s has no /metrics counter", field)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecopatch/internal/eco"
@@ -15,6 +14,13 @@ import (
 // Job is one unit of work owned by the store. All mutable fields are
 // guarded by the store's mutex; workers and handlers go through store
 // methods rather than touching jobs directly.
+//
+// mu serializes the job's transitions (Start, the terminal one) with
+// the writes of its file: each write snapshots the job under mu, and a
+// terminal transition is written before it becomes visible. So a job
+// reported finished is on disk, a lower state never overwrites a
+// higher one, and a terminal job — the only kind eviction removes — is
+// never written again. Lock order: Job.mu before Store.mu.
 type Job struct {
 	ID   string
 	Name string
@@ -45,14 +51,12 @@ type Job struct {
 	// result this job shares (content-addressed dedup).
 	dedupOf string
 
-	// recovered marks a job restored from the persistence log that was
+	// recovered marks a job restored from the data dir that was
 	// queued or running when the daemon died: its solve context died
 	// with the process, so it is restored as failed.
 	recovered bool
-	// persistCount counts this job's on-disk records (atomic: the
-	// submit goroutine and the worker both append); every record past
-	// the first supersedes the previous one as log garbage.
-	persistCount atomic.Int32
+
+	mu sync.Mutex // orders transitions with file writes (see above)
 }
 
 // Store is the in-memory job index. It retains at most maxJobs
@@ -65,14 +69,17 @@ type Store struct {
 	order   []string // insertion order, for eviction and listing
 	maxJobs int
 
-	// onFinish observes every terminal transition (metrics, result
-	// files) with the engine stats of the solve the transition ends,
+	// onFinish observes every terminal transition (metrics, dedup
+	// waiters) with the engine stats of the solve the transition ends,
 	// nil when the job ran none. Called without the store lock held.
 	onFinish func(*Job, JobStatus, *eco.Stats)
-	// onEvict observes capacity evictions (n jobs dropped), called
-	// without the store lock held. The persist layer hooks it for
-	// garbage accounting.
-	onEvict func(n int)
+	// onEvict observes capacity evictions with the jobs dropped,
+	// called without the store lock held. The persistence layer hooks
+	// it to delete their files.
+	onEvict func([]*Job)
+	// persist writes a job's status to its file, called with Job.mu
+	// held and the store lock released; nil without a data dir.
+	persist func(*Job, JobStatus)
 }
 
 // NewStore builds a store retaining up to maxJobs entries
@@ -123,15 +130,15 @@ func (st *Store) Register(j *Job) {
 	evicted := st.evictLocked()
 	onEvict := st.onEvict
 	st.mu.Unlock()
-	if evicted > 0 && onEvict != nil {
+	if len(evicted) > 0 && onEvict != nil {
 		onEvict(evicted)
 	}
 }
 
-// Restore inserts a terminal job recovered from the persistence log.
-// The job is born finished (its done channel pre-closed) and carries
-// whatever result the log preserved. Reports false when the ID is
-// already present (an idempotent replay re-delivering a record).
+// Restore inserts a terminal job recovered from the data dir. The job
+// is born finished (its done channel pre-closed) and carries whatever
+// result its file preserved. Reports false when the ID is already
+// present.
 func (st *Store) Restore(s JobStatus) bool {
 	if !s.State.Terminal() {
 		return false // recovery converts these to failed before calling
@@ -159,32 +166,24 @@ func (st *Store) Restore(s JobStatus) bool {
 		j.finishedAt = *s.FinishedAt
 	}
 	close(j.done)
-	j.persistCount.Store(1) // its live log record
 	st.jobs[j.ID] = j
 	st.order = append(st.order, j.ID)
 	evicted := st.evictLocked()
 	onEvict := st.onEvict
 	st.mu.Unlock()
-	if evicted > 0 && onEvict != nil {
+	if len(evicted) > 0 && onEvict != nil {
 		onEvict(evicted)
 	}
 	return true
 }
 
-// Add registers a new queued job and returns it.
-func (st *Store) Add(name string, inst *eco.Instance, opt eco.Options) *Job {
-	j := st.NewJob(name, inst, opt)
-	st.Register(j)
-	return j
-}
-
 // evictLocked drops the oldest terminal jobs while over capacity,
-// returning how many were dropped.
-func (st *Store) evictLocked() int {
+// returning the jobs dropped.
+func (st *Store) evictLocked() []*Job {
 	if len(st.jobs) <= st.maxJobs {
-		return 0
+		return nil
 	}
-	evicted := 0
+	var evicted []*Job
 	kept := st.order[:0]
 	for _, id := range st.order {
 		j, ok := st.jobs[id]
@@ -193,7 +192,7 @@ func (st *Store) evictLocked() int {
 		}
 		if len(st.jobs) > st.maxJobs && j.state.Terminal() {
 			delete(st.jobs, id)
-			evicted++
+			evicted = append(evicted, j)
 			continue
 		}
 		kept = append(kept, id)
@@ -247,20 +246,6 @@ func (st *Store) List(state State, limit int) []JobStatus {
 	return out
 }
 
-// persistSnapshot renders every retained job as a log record, for the
-// persistence layer's compaction snapshot.
-func (st *Store) persistSnapshot() []jobRecord {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]jobRecord, 0, len(st.order))
-	for _, id := range st.order {
-		if j, ok := st.jobs[id]; ok {
-			out = append(out, jobRecord{Digest: j.digest, Status: j.statusLocked()})
-		}
-	}
-	return out
-}
-
 // Counts tallies jobs per state.
 func (st *Store) Counts() map[State]int {
 	st.mu.Lock()
@@ -295,19 +280,42 @@ func (j *Job) statusLocked() JobStatus {
 	return s
 }
 
-// Start transitions queued → running and installs the cancel hook.
-// It returns false when the job is no longer runnable (cancelled
-// while sitting in the queue) — the worker must then skip it.
+// Start transitions queued → running, installs the cancel hook and
+// writes the job's file. It returns false when the job is no longer
+// runnable (cancelled while sitting in the queue) — the worker must
+// then skip it.
 func (st *Store) Start(j *Job, cancel context.CancelFunc) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if j.state != StateQueued {
+		st.mu.Unlock()
 		return false
 	}
 	j.state = StateRunning
 	j.startedAt = time.Now()
 	j.cancel = cancel
+	status := j.statusLocked()
+	persist := st.persist
+	st.mu.Unlock()
+	if persist != nil {
+		persist(j, status)
+	}
 	return true
+}
+
+// PersistQueued writes the file of a job that is still queued; once a
+// worker started it, Start has written a later state.
+func (st *Store) PersistQueued(j *Job) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st.mu.Lock()
+	status := j.statusLocked()
+	persist := st.persist
+	st.mu.Unlock()
+	if persist != nil && status.State == StateQueued {
+		persist(j, status)
+	}
 }
 
 // Finish transitions a job to a terminal state with an optional
@@ -315,23 +323,43 @@ func (st *Store) Start(j *Job, cancel context.CancelFunc) bool {
 // ran none, e.g. when it shares another job's result). Idempotent:
 // only the first terminal transition wins.
 func (st *Store) Finish(j *Job, state State, errMsg string, result *JobResult, stats *eco.Stats) {
+	st.finish(j, false, state, errMsg, result, stats)
+}
+
+// finish is Finish; with queuedOnly it applies only to a job still
+// queued (a cancel racing the worker's Start). It reports whether the
+// transition happened. The job's file is written before the new state
+// becomes visible, so a job anyone saw finish survives a kill -9.
+func (st *Store) finish(j *Job, queuedOnly bool, state State, errMsg string, result *JobResult, stats *eco.Stats) bool {
+	j.mu.Lock()
 	st.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.Terminal() || (queuedOnly && j.state != StateQueued) {
 		st.mu.Unlock()
-		return
+		j.mu.Unlock()
+		return false
 	}
+	status := j.statusLocked()
+	onFinish, persist := st.onFinish, st.persist
+	st.mu.Unlock()
+
+	now := time.Now()
+	status.State, status.Error, status.Result, status.FinishedAt = state, errMsg, result, &now
+	if persist != nil {
+		persist(j, status)
+	}
+	st.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
-	j.finishedAt = time.Now()
+	j.finishedAt = now
 	j.cancel = nil
-	status := j.statusLocked()
-	onFinish := st.onFinish
 	close(j.done)
 	st.mu.Unlock()
+	j.mu.Unlock()
 	if onFinish != nil {
 		onFinish(j, status, stats)
 	}
+	return true
 }
 
 // Cancel requests cancellation of a job by ID. A queued job is
@@ -341,37 +369,23 @@ func (st *Store) Finish(j *Job, state State, errMsg string, result *JobResult, s
 func (st *Store) Cancel(id, reason string) (JobStatus, bool) {
 	st.mu.Lock()
 	j, ok := st.jobs[id]
+	st.mu.Unlock()
 	if !ok {
-		st.mu.Unlock()
 		return JobStatus{}, false
 	}
-	switch {
-	case j.state == StateQueued:
-		j.state = StateCancelled
-		j.errMsg = reason
-		j.finishedAt = time.Now()
-		status := j.statusLocked()
-		onFinish := st.onFinish
-		close(j.done)
-		st.mu.Unlock()
-		if onFinish != nil {
-			onFinish(j, status, nil)
-		}
-		return status, true
-	case j.state == StateRunning:
+	st.finish(j, true, StateCancelled, reason, nil, nil)
+	st.mu.Lock()
+	var cancel context.CancelFunc
+	if j.state == StateRunning {
 		j.userCancelled = true
-		cancel := j.cancel
-		status := j.statusLocked()
-		st.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return status, true
-	default: // already terminal
-		status := j.statusLocked()
-		st.mu.Unlock()
-		return status, true
+		cancel = j.cancel
 	}
+	status := j.statusLocked()
+	st.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return status, true
 }
 
 // CancelRunning cancels the context of every running job (drain

@@ -1,13 +1,12 @@
 #!/bin/sh
-# Crash-safety smoke test for the ecod persistence layer: run a daemon
-# with -data-dir, finish a job, kill -9 the process (no drain, no
-# fsync of the async tail), restart on the same directory, and assert
-# the job history and result cache survived — then tear the final log
-# record and assert the daemon recovers the intact prefix and keeps
-# serving.
+# Crash-safety smoke test for ecod's -data-dir (one file per job): run
+# a daemon, finish a job, kill -9 the process (no drain), restart on
+# the same directory, and assert the job history and result cache
+# survived and a job caught mid-run came back terminal — then flip a
+# byte in one job file and assert the next boot skips and counts it,
+# keeps the intact history, and keeps serving.
 #
-# Run from the repository root. Gating when invoked via
-# `SMOKE=1 scripts/verify.sh`.
+# Run from the repository root. scripts/verify.sh runs it (gating).
 set -eu
 
 workdir=$(mktemp -d)
@@ -63,8 +62,8 @@ midrun_id=$("$ECOD" submit -server "$base" -unit unit2 -name midrun)
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 echo "ecod[1] killed -9"
-[ -n "$(ls "$data"/seg-*.log 2>/dev/null)" ] || {
-	echo "FAIL: no log segments written"; ls -la "$data"; exit 1; }
+[ -f "$data/$job_id.json" ] || {
+	echo "FAIL: no job file written"; ls -la "$data"; exit 1; }
 
 # --- Daemon 2: replay, serve history, hit the persisted cache. ------
 start_daemon "$workdir/ecod2.log"
@@ -95,6 +94,8 @@ grep -q '"state": "done"' "$workdir/result_dup.json" || {
 	echo "FAIL: duplicate did not finish done"; cat "$workdir/result_dup.json"; exit 1; }
 grep -q "\"dedup_of\": \"$job_id\"" "$workdir/result_dup.json" || {
 	echo "FAIL: duplicate not deduped to the restored job"; cat "$workdir/result_dup.json"; exit 1; }
+dup_id=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/result_dup.json" | head -1)
+[ -n "$dup_id" ] || { echo "FAIL: no duplicate id parsed"; cat "$workdir/result_dup.json"; exit 1; }
 
 "$ECOD" metrics -server "$base" >"$workdir/metrics2.txt"
 grep -q '^ecod_cache_hits_total 1$' "$workdir/metrics2.txt" || {
@@ -105,25 +106,32 @@ grep -qE '^ecod_persist_replayed_total [1-9]' "$workdir/metrics2.txt" || {
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 
-# --- Daemon 3: torn final record. -----------------------------------
-# Append garbage to the newest segment — the torn tail a crash mid-
-# write leaves. Recovery must count it, truncate to the intact prefix,
-# and keep serving.
-newest=$(ls "$data"/seg-*.log | tail -1)
-printf '\336\255\276\357\001' >>"$newest"
+# --- Daemon 3: a damaged job file. ---------------------------------
+# Flip one byte in the middle of the duplicate's file (its record, so
+# the checksum catches it). The next boot must skip and count it,
+# never replay it, keep the intact history, and keep serving.
+dup_file="$data/$dup_id.json"
+[ -f "$dup_file" ] || { echo "FAIL: no job file for the duplicate"; ls -la "$data"; exit 1; }
+cp "$dup_file" "$workdir/dup.orig"
+size=$(wc -c <"$dup_file")
+printf '#' | dd of="$dup_file" bs=1 seek=$((size / 2)) conv=notrunc 2>/dev/null
+! cmp -s "$dup_file" "$workdir/dup.orig" || { echo "FAIL: byte flip left the file unchanged"; exit 1; }
 
 start_daemon "$workdir/ecod3.log"
 echo "ecod[3] up on $base (pid $server_pid)"
 
 "$ECOD" metrics -server "$base" >"$workdir/metrics3.txt"
-grep -q '^ecod_persist_torn_tail_total 1$' "$workdir/metrics3.txt" || {
-	echo "FAIL: torn tail not detected"; cat "$workdir/metrics3.txt"; exit 1; }
+grep -q '^ecod_persist_skipped_total 1$' "$workdir/metrics3.txt" || {
+	echo "FAIL: damaged job file not skipped"; cat "$workdir/metrics3.txt"; exit 1; }
+if "$ECOD" status -server "$base" "$dup_id" >/dev/null 2>&1; then
+	echo "FAIL: damaged job file was replayed"; exit 1
+fi
 "$ECOD" status -server "$base" "$job_id" >"$workdir/status3.json"
 grep -q '"state": "done"' "$workdir/status3.json" || {
-	echo "FAIL: history lost after torn-tail recovery"; cat "$workdir/status3.json"; exit 1; }
+	echo "FAIL: history lost after skipping the damaged file"; cat "$workdir/status3.json"; exit 1; }
 "$ECOD" submit -server "$base" -unit unit3 -wait >"$workdir/result3.json"
 grep -q '"state": "done"' "$workdir/result3.json" || {
-	echo "FAIL: daemon not serving after torn-tail recovery"; cat "$workdir/result3.json"; exit 1; }
+	echo "FAIL: daemon not serving after skipping the damaged file"; cat "$workdir/result3.json"; exit 1; }
 
 kill -TERM "$server_pid"
 wait "$server_pid" || { echo "FAIL: non-zero exit on drain"; exit 1; }

@@ -4,8 +4,7 @@
 # solve, check the metrics surface saw real solver work, and shut the
 # daemon down cleanly via SIGTERM (graceful drain).
 #
-# Run from the repository root. Gating when invoked via
-# `SMOKE=1 scripts/verify.sh`.
+# Run from the repository root. scripts/verify.sh runs it (gating).
 set -eu
 
 workdir=$(mktemp -d)
@@ -19,7 +18,7 @@ attempt=0
 while :; do
 	port=$((20000 + $$ % 10000 + attempt))
 	"$ECOD" serve -addr "127.0.0.1:$port" -workers 2 -queue 8 \
-		-results-dir "$workdir/results" 2>"$workdir/ecod.log" &
+		-data-dir "$workdir/data" 2>"$workdir/ecod.log" &
 	server_pid=$!
 	for _ in $(seq 1 50); do
 		if curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; then
@@ -69,14 +68,15 @@ for counter in ecod_sat_solve_calls_total ecod_eco_minimize_calls_total ecod_eco
 		echo "FAIL: $counter missing or zero"; cat "$workdir/metrics.txt"; exit 1; }
 done
 
-# One result file per finished job, written atomically (the writer
-# runs just after the terminal state becomes visible, so poll).
+# One job file per finished job, written atomically (the writer runs
+# just after the terminal state becomes visible, so poll).
+job_id=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/result.json" | head -1)
 found=0
 for _ in $(seq 1 50); do
-	if ls "$workdir/results/"*.json >/dev/null 2>&1; then found=1; break; fi
+	if grep -q '"state":"done"' "$workdir/data/$job_id.json" 2>/dev/null; then found=1; break; fi
 	sleep 0.1
 done
-[ "$found" = 1 ] || { echo "FAIL: no result file persisted"; exit 1; }
+[ "$found" = 1 ] || { echo "FAIL: no done job file for $job_id"; ls -la "$workdir/data"; exit 1; }
 
 # Graceful shutdown: SIGTERM drains and the process exits on its own.
 kill -TERM "$server_pid"

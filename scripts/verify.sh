@@ -27,7 +27,8 @@ done
 # One race pass over every package. Every solve is serial, so the
 # concurrency left to check is the engine's deadline watcher
 # interrupting its solvers, the daemon's worker pool and dedup paths,
-# its result cache, ecobench's parallel cells, and persistence.
+# its result cache, ecobench's parallel cells, and the job-file
+# writes of the daemon's data dir.
 # -count=1 defeats test caching so the concurrent machinery is always
 # exercised fresh.
 # -short skips the slow single-threaded sweeps (the bench-suite scale
@@ -35,16 +36,23 @@ done
 # runs.
 go test -race -short -count=1 ./...
 
+# End-to-end ecod daemon smoke tests (about 2 s with a warm build
+# cache): serve/submit/metrics/drain, then the crash contract of
+# -data-dir (kill -9, restart on the same dir, a byte-flipped job file
+# skipped and counted).
+./scripts/smoke_server.sh
+./scripts/smoke_persist.sh
+
 # Optional, non-gating: microbenchmark sweep (scripts/bench.sh writes
 # BENCH_sat.txt / BENCH_sat.json) and short fuzz smokes over the
-# persistence log's recovery scan (record framing only), simulation,
+# daemon's job-file decoder (envelope and checksum), simulation,
 # the equivalence checker and the exact search's hitting-set
 # enumerator. Enable with BENCH=1.
 if [ "${BENCH:-0}" = "1" ]; then
 	./scripts/bench.sh || echo "bench.sh failed (non-gating)"
-	go test -run FuzzPersistDecode -fuzz FuzzPersistDecode \
-		-fuzztime=10s ./internal/persist \
-		|| echo "persist fuzz smoke failed (non-gating)"
+	go test -run FuzzJobFileDecode -fuzz FuzzJobFileDecode \
+		-fuzztime=10s ./internal/server \
+		|| echo "job-file fuzz smoke failed (non-gating)"
 	go test -run FuzzSimWords -fuzz FuzzSimWords \
 		-fuzztime=10s ./internal/aig \
 		|| echo "sim fuzz smoke failed (non-gating)"
@@ -56,17 +64,12 @@ if [ "${BENCH:-0}" = "1" ]; then
 		|| echo "hitting-set fuzz smoke failed (non-gating)"
 fi
 
-# Optional, gating when enabled: end-to-end ecod daemon smoke tests —
-# serve/submit/metrics/drain, then the crash-safety pass (kill -9,
-# restart on the same -data-dir, torn-tail recovery) — and unit6
-# through the SAT path under the eco defaults: its second target's
-# cube enumeration runs until the work meter hands it to the
-# structural fallback (about 7 s on a 2-core VM), and the patch must
-# come back verified (eco exits nonzero otherwise). Enable with
-# SMOKE=1.
+# Optional, gating when enabled: unit6 through the SAT path under the
+# eco defaults: its second target's cube enumeration runs until the
+# work meter hands it to the structural fallback (about 7 s on a
+# 2-core VM), and the patch must come back verified (eco exits nonzero
+# otherwise). Enable with SMOKE=1.
 if [ "${SMOKE:-0}" = "1" ]; then
-	./scripts/smoke_server.sh
-	./scripts/smoke_persist.sh
 	unit6=$(mktemp -d)
 	go build -o "$unit6/ecogen" ./cmd/ecogen
 	go build -o "$unit6/eco" ./cmd/eco
